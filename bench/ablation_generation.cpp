@@ -3,7 +3,7 @@
 // generation regime (where skinny GEMMs make everything weight-bound).
 #include "bench_common.hpp"
 #include "gpusim/device.hpp"
-#include "nn/generation.hpp"
+#include "nn/batched_generation.hpp"
 #include "pruning/strategy.hpp"
 #include "train/model.hpp"
 
@@ -48,31 +48,35 @@ int main(int argc, char** argv) {
                          csv);
   for (const double ratio : {0.0, 0.7}) {
     const auto layers = build_layers(model, ratio);
-    et::nn::GenerationSession session(et::nn::Model(&layers, opt, 600));
-    et::tensor::MatrixF row(1, model.d_model);
-
-    // Prefill a 128-token prompt (token-by-token through the cache).
-    et::gpusim::Device prefill_dev;
-    et::core::ExecContext prefill_dev_ctx(prefill_dev);
-    prefill_dev.set_traffic_only(true);
-    for (int t = 0; t < 128; ++t) (void)session.step(prefill_dev_ctx, row);
-    const double prefill = prefill_dev.total_time_us();
-
-    const auto step_cost = [&] {
-      et::gpusim::Device dev;
-      et::core::ExecContext ctx(dev);
-      dev.set_traffic_only(true);
-      (void)session.step(ctx, row);
-      return dev.total_time_us();
+    // One sequence through the decode engine, one position per tick, on
+    // a traffic-only device: a position's modeled cost is the tick's
+    // delta. The first 128 ticks are the prompt's prefill (token by token
+    // through the cache); the inputs are zero rows, since traffic-only
+    // cost does not depend on values.
+    et::nn::BatchedGenerationScheduler sched(et::nn::Model(&layers, opt, 600),
+                                             /*max_batch=*/1);
+    et::nn::GenerationRequest req;
+    req.prompt_tokens.assign(128, 0);
+    req.max_new_tokens = 600 - 128;
+    req.embed = [&](std::int32_t, std::size_t) {
+      return et::tensor::MatrixF(1, model.d_model);
     };
-    const double at_128 = step_cost();
-    while (session.context_length() < 512) {
-      et::gpusim::Device dev;
-      et::core::ExecContext ctx(dev);
-      dev.set_traffic_only(true);
-      (void)session.step(ctx, row);
-    }
-    const double at_512 = step_cost();
+    req.select = [](const et::tensor::MatrixF&) { return std::int32_t{0}; };
+    (void)sched.submit(std::move(req));
+
+    et::gpusim::Device dev;
+    et::core::ExecContext ctx(dev);
+    dev.set_traffic_only(true);
+    const auto tick_cost = [&] {
+      const double before = dev.total_time_us();
+      sched.tick(ctx);
+      return dev.total_time_us() - before;
+    };
+    double prefill = 0.0;
+    for (int t = 0; t < 128; ++t) prefill += tick_cost();
+    const double at_128 = tick_cost();
+    while (sched.pool().slot(0).tokens() < 512) sched.tick(ctx);
+    const double at_512 = tick_cost();
 
     table.add_row({ratio > 0 ? "attention-aware 70%" : "dense",
                    et::bench::fmt(prefill, 1), et::bench::fmt(at_128, 1),

@@ -90,7 +90,6 @@ struct Args {
   bool listen_given = false;
   std::size_t listen_port = 0;       // 0 = ephemeral, printed at startup
   std::size_t drain_ticks = 64;      // graceful-shutdown drain budget
-  bool allow_unchecksummed = false;  // accept legacy ETW1 checkpoints
 };
 
 /// Arm the device's fault injector from a CLI spec:
@@ -292,7 +291,6 @@ bool parse(int argc, char** argv, Args& a) {
       }
     }
     else if (arg == "--drain-ticks") next_size(arg, a.drain_ticks);
-    else if (arg == "--allow-unchecksummed") a.allow_unchecksummed = true;
     else if (arg == "--profile") a.profile = true;
     else if (arg == "--json") a.json = true;
     else if (arg == "--trace") { if (next(arg, v)) a.trace = v; }
@@ -377,9 +375,6 @@ void usage() {
       "  --drain-ticks N   graceful-shutdown drain budget for --serve and\n"
       "                    --listen: ticks to let in-flight requests finish\n"
       "                    before cancelling the rest (default 64)\n"
-      "  --allow-unchecksummed\n"
-      "                    let the model registry load legacy ETW1 (no\n"
-      "                    per-section CRC) checkpoints\n"
       "  --requests N      total requests in the arrival script (default 8);\n"
       "                    0 = unbounded, serve until SIGINT/SIGTERM\n"
       "  --queue-cap N     bounded admission queue; overflow is rejected\n"
@@ -567,7 +562,7 @@ int main(int argc, char** argv) {
         et::nn::options_for(pipeline, model, args.seq, /*causal=*/true);
     gopt.adaptive.forced = forced_attention;
 
-    et::serving::ModelRegistry registry(args.allow_unchecksummed);
+    et::serving::ModelRegistry registry;
     registry.add("demo", 1, std::move(layers), gopt, args.seq, 257,
                  weight_format);
 

@@ -1,6 +1,7 @@
 // Autoregressive generation end to end: train a small causal LM on the
 // synthetic corpus, deploy it to the inference stack (optionally pruned),
-// and generate greedily through the KV-cached incremental path. Because
+// and generate greedily with nn::generate (the batch-1 run of the decode
+// engine, over the paged KV cache). Because
 // the corpus follows a successor table, a well-trained model should emit
 // long stretches of the deterministic chain — easy to verify by eye.
 //
@@ -59,26 +60,29 @@ int main(int argc, char** argv) {
   auto opt = et::nn::options_for(et::nn::Pipeline::kET, model, 1, true);
   opt.attn.precision = et::numeric::Precision::kFp32;
 
-  // Greedy generation through the KV-cached path. Note the deployed
-  // inference stack has no attention biases, so logits differ slightly
-  // from the training-side forward; greedy argmax is robust to that.
+  // Greedy generation: embed + positional encoding (matching the
+  // training-side pipeline) in `embed`, the trained LM head's argmax in
+  // `select`. Note the deployed inference stack has no attention biases,
+  // so logits differ slightly from the training-side forward; greedy
+  // argmax is robust to that.
   et::gpusim::Device dev;
   et::core::ExecContext ctx(dev);
   et::nn::GenerationSession session(
       et::nn::Model(&layers, opt, num_tokens + 2));
-  std::int32_t token = corpus.train()[0].tokens[0];
-  std::printf("\ngenerated: %d", token);
-  std::size_t followed_chain = 0;
   const et::tensor::MatrixF pe =
       et::nn::positional_encoding(num_tokens + 1, mcfg.d_model);
-  for (std::size_t t = 0; t < num_tokens; ++t) {
-    // Embed + positional encoding (matching the training-side pipeline).
+  const std::int32_t first = corpus.train()[0].tokens[0];
+  et::nn::DecodeParams params;
+  params.first_token = first;
+  params.max_new_tokens = num_tokens;
+  params.embed = [&](std::int32_t token, std::size_t pos) {
     et::tensor::MatrixF row(1, mcfg.d_model);
     for (std::size_t c = 0; c < row.cols(); ++c) {
-      row(0, c) = lm.trunk.embedding.table.w(token, c) + pe(t, c);
+      row(0, c) = lm.trunk.embedding.table.w(token, c) + pe(pos, c);
     }
-    const et::tensor::MatrixF h = session.step(ctx, row);
-    // LM head from the trained model.
+    return row;
+  };
+  params.select = [&](const et::tensor::MatrixF& h) {
     std::int32_t best = 0;
     float best_logit = -1e30f;
     for (std::size_t v = 0; v < mcfg.vocab_size; ++v) {
@@ -91,8 +95,17 @@ int main(int argc, char** argv) {
         best = static_cast<std::int32_t>(v);
       }
     }
-    followed_chain += (best == corpus.successor_table()[token]);
-    token = best;
+    return best;
+  };
+  const et::nn::GenerationResult result =
+      et::nn::generate(ctx, session, params);
+
+  std::printf("\ngenerated: %d", first);
+  std::size_t followed_chain = 0;
+  std::int32_t token = first;
+  for (const std::int32_t next : result.tokens) {
+    followed_chain += (next == corpus.successor_table()[token]);
+    token = next;
     std::printf(" -> %d", token);
   }
   std::printf("\n\n%zu / %zu transitions follow the corpus successor table "

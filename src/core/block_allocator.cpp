@@ -264,32 +264,32 @@ void BlockAllocator::copy_rows(BlockId from, BlockId to, std::size_t rows) {
 }
 
 // ---------------------------------------------------------------------------
-// PagedKVCache — thin per-layer forwarding views.
+// PagedKVView — thin per-layer forwarding views.
 
-std::size_t PagedKVCache::capacity() const noexcept {
+std::size_t PagedKVView::capacity() const noexcept {
   return slot_->pool_->max_context();
 }
-std::size_t PagedKVCache::used() const noexcept { return slot_->used_[layer_]; }
-std::size_t PagedKVCache::k_width() const noexcept {
+std::size_t PagedKVView::used() const noexcept { return slot_->used_[layer_]; }
+std::size_t PagedKVView::k_width() const noexcept {
   return slot_->pool_->allocator().k_width();
 }
-std::size_t PagedKVCache::v_width() const noexcept {
+std::size_t PagedKVView::v_width() const noexcept {
   return slot_->pool_->allocator().v_width(layer_);
 }
-KvPrecision PagedKVCache::precision() const noexcept {
+KvPrecision PagedKVView::precision() const noexcept {
   return slot_->pool_->allocator().precision();
 }
-void PagedKVCache::append(std::span<const float> k_row,
+void PagedKVView::append(std::span<const float> k_row,
                           std::span<const float> v_row) {
   slot_->append(layer_, k_row, v_row);
 }
-tensor::MatrixF PagedKVCache::k_prefix() const {
+tensor::MatrixF PagedKVView::k_prefix() const {
   return slot_->k_prefix(layer_);
 }
-tensor::MatrixF PagedKVCache::v_prefix() const {
+tensor::MatrixF PagedKVView::v_prefix() const {
   return slot_->v_prefix(layer_);
 }
-void PagedKVCache::truncate(std::size_t n) noexcept {
+void PagedKVView::truncate(std::size_t n) noexcept {
   slot_->truncate(layer_, n);
 }
 
@@ -339,15 +339,15 @@ void PagedKVSlot::append(std::size_t layer, std::span<const float> k_row,
   const std::size_t kw = alloc.k_width();
   const std::size_t vw = alloc.v_width(layer);
   const std::size_t pos = used_.at(layer);
-  // Checks precede any write or cursor move — same strong guarantee as
-  // KVCache::append.
+  // Checks precede any write or cursor move: a rejected append leaves
+  // both planes and the cursor untouched.
   if (pos >= pool_->max_context_) {
-    throw std::length_error("PagedKVCache::append: cache is full (" +
+    throw std::length_error("PagedKVView::append: cache is full (" +
                             std::to_string(pool_->max_context_) + " rows)");
   }
   if (k_row.size() != kw || v_row.size() != vw) {
     throw std::invalid_argument(
-        "PagedKVCache::append: row width mismatch (k " +
+        "PagedKVView::append: row width mismatch (k " +
         std::to_string(k_row.size()) + ", v " + std::to_string(v_row.size()) +
         ", cache k " + std::to_string(kw) + ", cache v " + std::to_string(vw) +
         ")");
@@ -372,13 +372,13 @@ void PagedKVSlot::append(std::size_t layer, std::span<const float> k_row,
     const auto b = pool_->alloc_.allocate();
     if (!b) {
       throw std::length_error(
-          "PagedKVCache::append: block pool exhausted (kv_cache_full)");
+          "PagedKVView::append: block pool exhausted (kv_cache_full)");
     }
     table_.push_back(*b);
   } else if (alloc.ref_count(table_[bi]) > 1) {
     if (!cow_block(bi, off)) {
       throw std::length_error(
-          "PagedKVCache::append: block pool exhausted (kv_cache_full)");
+          "PagedKVView::append: block pool exhausted (kv_cache_full)");
     }
   }
   pool_->trie_.invalidate(table_[bi], off);  // no-op after prepare_append
@@ -453,16 +453,12 @@ void PagedKVSlot::rollback(std::size_t n) {
 // PagedKVPool
 
 namespace {
-std::size_t resolve_block_tokens(std::size_t max_context,
-                                 const PagedKVOptions& opts) {
-  return opts.block_tokens == 0 ? max_context : opts.block_tokens;
-}
 std::size_t resolve_num_blocks(std::size_t num_slots, std::size_t max_context,
-                               std::size_t block_tokens,
                                const PagedKVOptions& opts) {
   if (opts.num_blocks != 0) return opts.num_blocks;
-  if (block_tokens == 0) return 0;  // BlockAllocator throws the real error
-  return num_slots * ((max_context + block_tokens - 1) / block_tokens);
+  const std::size_t bt = opts.block_tokens;
+  if (bt == 0) return 0;  // BlockAllocator throws the real error
+  return num_slots * ((max_context + bt - 1) / bt);
 }
 }  // namespace
 
@@ -470,14 +466,12 @@ PagedKVPool::PagedKVPool(std::size_t num_slots, std::size_t max_context,
                          std::size_t k_width,
                          const std::vector<std::size_t>& v_widths,
                          PagedKVOptions opts)
-    : alloc_(resolve_num_blocks(num_slots, max_context,
-                                resolve_block_tokens(max_context, opts), opts),
-             resolve_block_tokens(max_context, opts), k_width, v_widths,
-             opts.precision),
+    : alloc_(resolve_num_blocks(num_slots, max_context, opts),
+             opts.block_tokens, k_width, v_widths, opts.precision),
       trie_(alloc_.block_tokens()),
       max_context_(max_context),
-      // Whole-context blocks (the contiguous reference layout) cannot
-      // share a proper prefix without copying everything, so sharing is
+      // Whole-context blocks (the contiguous layout) cannot share a
+      // proper prefix without copying everything, so sharing is
       // meaningful only when a block is smaller than the context.
       sharing_(opts.enable_prefix_sharing &&
                alloc_.block_tokens() < max_context) {
@@ -492,7 +486,7 @@ PagedKVPool::PagedKVPool(std::size_t num_slots, std::size_t max_context,
     sl.used_.assign(v_widths.size(), 0);
     sl.views_.reserve(v_widths.size());
     for (std::size_t l = 0; l < v_widths.size(); ++l) {
-      sl.views_.push_back(PagedKVCache(&sl, l));
+      sl.views_.push_back(PagedKVView(&sl, l));
     }
     free_slots_.push_back(num_slots - 1 - s);  // pop order: slot 0 first
   }

@@ -66,27 +66,19 @@ enum class KvPrecision : std::uint8_t { kFp32, kInt8 };
   return std::nullopt;
 }
 
-/// Default KV block granularity (tokens per block). Under the
-/// ET_CONTIGUOUS_KV build flag the default degenerates to "one block =
-/// the whole context" — the pre-paged contiguous reference layout, kept
-/// behind a flag for one PR so the differential suite can pin the paged
-/// path against it (tests also select it per-pool at runtime via
-/// PagedKVOptions::block_tokens = 0).
-#ifdef ET_CONTIGUOUS_KV
-inline constexpr std::size_t kDefaultKvBlockTokens = 0;
-#else
+/// Default KV block granularity (tokens per block).
 inline constexpr std::size_t kDefaultKvBlockTokens = 16;
-#endif
 
 /// Paged-pool shape knobs, carried alongside the model geometry.
 struct PagedKVOptions {
-  /// Rows per block; 0 = one block spans max_context (the contiguous
-  /// reference layout, which also disables prefix sharing — whole-context
-  /// blocks can never share a proper prefix without copying everything).
+  /// Rows per block (nonzero; BlockAllocator rejects 0). A block as long
+  /// as max_context is the contiguous layout: one block per slot, and
+  /// prefix sharing off — whole-context blocks can never share a proper
+  /// prefix without copying everything.
   std::size_t block_tokens = kDefaultKvBlockTokens;
   /// Physical blocks in the pool; 0 = num_slots * ceil(max_context /
-  /// block_tokens), the capacity at which no workload can OOM that the
-  /// contiguous pool could serve (per-slot demand never exceeds
+  /// block_tokens), the capacity at which no slot can run out of blocks
+  /// before it reaches max_context (per-slot demand never exceeds
   /// ceil(max_context/block_tokens) blocks). Smaller values make block
   /// exhaustion a reachable, typed kv_cache_full stop.
   std::size_t num_blocks = 0;
@@ -156,8 +148,7 @@ class BlockAllocator {
     return num_blocks() * bytes_per_block();
   }
   /// Bytes of blocks currently held by at least one reference (the
-  /// kv_bytes_used gauge — Σ resident blocks, the paged replacement for
-  /// the contiguous pool's per-row accounting).
+  /// kv_bytes_used gauge — Σ resident blocks).
   [[nodiscard]] std::size_t resident_bytes() const noexcept {
     return resident_blocks() * bytes_per_block();
   }
@@ -249,15 +240,13 @@ class BlockAllocator {
 class PagedKVPool;
 class PagedKVSlot;
 
-/// Per-layer view of one slot's paged KV, presenting the same surface as
-/// the contiguous core::KVCache (append / used / k_prefix / v_prefix /
-/// truncate / capacity) so the fused decode tick and the incremental
-/// attention gather read through the block table with unchanged code
-/// shape. All state lives in the owning PagedKVSlot; the view is two
-/// pointers.
-class PagedKVCache {
+/// Per-layer view of one slot's paged KV (append / used / k_prefix /
+/// v_prefix / truncate / capacity): the decode tick's per-slot attention
+/// step appends and gathers through the block table via this view. All
+/// state lives in the owning PagedKVSlot; the view is two pointers.
+class PagedKVView {
  public:
-  PagedKVCache() = default;
+  PagedKVView() = default;
 
   [[nodiscard]] std::size_t capacity() const noexcept;
   [[nodiscard]] std::size_t used() const noexcept;
@@ -268,7 +257,7 @@ class PagedKVCache {
   /// to account 1-byte K/V traffic (plus scale loads) on int8 pools.
   [[nodiscard]] KvPrecision precision() const noexcept;
 
-  /// Same contract as KVCache::append — std::length_error when the
+  /// Appends one K row and one V row. std::length_error when the
   /// logical capacity OR the block pool is exhausted (both are the typed
   /// kv_cache_full stop), std::invalid_argument on a width mismatch,
   /// checks before writes. Rows inside the slot's shared prefix advance
@@ -277,7 +266,7 @@ class PagedKVCache {
   void append(std::span<const float> k_row, std::span<const float> v_row);
 
   /// Contiguous copies of the filled prefix, gathered through the block
-  /// table — bit-identical to the contiguous cache's planes (the oracle
+  /// table — bit-identical to the rows appended, in order (the oracle
   /// property tests/test_paged_kv.cpp pins across block sizes).
   [[nodiscard]] tensor::MatrixF k_prefix() const;
   [[nodiscard]] tensor::MatrixF v_prefix() const;
@@ -291,7 +280,7 @@ class PagedKVCache {
  private:
   friend class PagedKVSlot;
   friend class PagedKVPool;
-  PagedKVCache(PagedKVSlot* slot, std::size_t layer)
+  PagedKVView(PagedKVSlot* slot, std::size_t layer)
       : slot_(slot), layer_(layer) {}
   PagedKVSlot* slot_ = nullptr;
   std::size_t layer_ = 0;
@@ -299,11 +288,11 @@ class PagedKVCache {
 
 /// One serving slot's paged KV state: the block table shared by every
 /// layer, per-layer fill cursors, the shared-prefix bookkeeping, and the
-/// per-layer PagedKVCache views handed to the decode tick.
+/// per-layer PagedKVViews handed to the decode tick.
 class PagedKVSlot {
  public:
-  [[nodiscard]] std::vector<PagedKVCache>& caches() noexcept { return views_; }
-  [[nodiscard]] const std::vector<PagedKVCache>& caches() const noexcept {
+  [[nodiscard]] std::vector<PagedKVView>& caches() noexcept { return views_; }
+  [[nodiscard]] const std::vector<PagedKVView>& caches() const noexcept {
     return views_;
   }
 
@@ -331,7 +320,7 @@ class PagedKVSlot {
   /// appends that follow are pure row writes.
   [[nodiscard]] bool prepare_append();
 
-  /// Per-layer append — PagedKVCache::append's implementation.
+  /// Per-layer append — PagedKVView::append's implementation.
   void append(std::size_t layer, std::span<const float> k_row,
               std::span<const float> v_row);
 
@@ -340,18 +329,17 @@ class PagedKVSlot {
 
   void truncate(std::size_t layer, std::size_t n) noexcept;
 
-  /// Serial rollback: truncate every layer to `n` rows AND return the
-  /// blocks past the new frontier to the allocator — the paged analogue
-  /// of the fault-atomic KVCache::truncate, now with storage to give
-  /// back. Keeps ceil(n / block_tokens) blocks (never trimming below the
-  /// seeded shared prefix), so a rollback landing exactly ON a block
-  /// boundary frees the boundary block — the partial-block release case
+  /// Serial rollback: truncate every layer to `n` rows AND return the blocks
+  /// past the new frontier to the allocator (truncate plus storage given back).
+  /// Keeps ceil(n / block_tokens) blocks (never trimming below the seeded
+  /// shared prefix), so a rollback landing exactly ON a block boundary frees
+  /// the boundary block — the partial-block release case
   /// tests/test_paged_kv.cpp pins.
   void rollback(std::size_t n);
 
  private:
   friend class PagedKVPool;
-  friend class PagedKVCache;
+  friend class PagedKVView;
 
   /// CoW-split table_[bi], preserving its first `rows` rows. False on
   /// block exhaustion.
@@ -359,7 +347,7 @@ class PagedKVSlot {
   void register_completed_prefix(std::size_t rows_done);
 
   PagedKVPool* pool_ = nullptr;
-  std::vector<PagedKVCache> views_;
+  std::vector<PagedKVView> views_;
   std::vector<BlockId> table_;
   std::vector<std::size_t> used_;  // per-layer cursor
   std::size_t shared_rows_ = 0;
@@ -373,15 +361,16 @@ class PagedKVSlot {
   bool in_use_ = false;
 };
 
-/// The paged replacement for core::KVCachePool: same acquire/release/
-/// caches/memory_bytes/used_bytes surface (so the scheduler and the
-/// serving gauges port over), plus prompt-aware acquisition that seeds a
-/// slot's table from the prefix trie and the serial registration flush.
+/// The one KV store: per-slot acquire/release/caches, the
+/// memory_bytes/used_bytes serving gauges, prompt-aware acquisition that
+/// seeds a slot's table from the prefix trie, and the serial
+/// registration flush.
 class PagedKVPool {
  public:
-  /// Geometry mirrors KVCachePool's layout-aware constructor; `opts`
-  /// adds the paged shape. Throws std::invalid_argument on zero slots /
-  /// max_context or anything BlockAllocator rejects.
+  /// Per-layer V-plane widths keep folded and condensed layers at their narrow
+  /// width (K rows are `k_width` wide); `opts` adds the paged shape. Throws
+  /// std::invalid_argument on zero slots / max_context or anything
+  /// BlockAllocator rejects.
   PagedKVPool(std::size_t num_slots, std::size_t max_context,
               std::size_t k_width, const std::vector<std::size_t>& v_widths,
               PagedKVOptions opts = {});
@@ -446,10 +435,10 @@ class PagedKVPool {
   [[nodiscard]] const PagedKVSlot& slot(std::size_t i) const {
     return slots_.at(i);
   }
-  [[nodiscard]] std::vector<PagedKVCache>& caches(std::size_t i) {
+  [[nodiscard]] std::vector<PagedKVView>& caches(std::size_t i) {
     return slots_.at(i).caches();
   }
-  [[nodiscard]] const std::vector<PagedKVCache>& caches(std::size_t i) const {
+  [[nodiscard]] const std::vector<PagedKVView>& caches(std::size_t i) const {
     return slots_.at(i).caches();
   }
 

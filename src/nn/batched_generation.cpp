@@ -18,14 +18,13 @@ namespace {
 
 /// Per-sequence state threaded through one tick. `pre_used` is the
 /// context length every layer's cache is rolled back to if this slot (or
-/// the whole tick) has to be undone — the PR-1 step-atomicity invariant,
-/// per slot.
+/// the whole tick) has to be undone — the tick's per-slot atomicity.
 struct TickSlot {
   enum class State { kRunning, kOk, kKernelFault, kKvCacheFull };
 
   std::size_t pool_slot = 0;
   std::size_t request_id = 0;
-  std::vector<core::PagedKVCache>* caches = nullptr;
+  std::vector<core::PagedKVView>* caches = nullptr;
   std::size_t pre_used = 0;
 
   State state = State::kRunning;
@@ -33,7 +32,7 @@ struct TickSlot {
   tensor::MatrixF hidden;  // 1 × d_model when state == kOk
 };
 
-// Cursor-only: PagedKVCache::truncate never frees a block, so this is
+// Cursor-only: PagedKVView::truncate never frees a block, so this is
 // safe from the parallel per-slot chunks AND the same-tick per-slot
 // retry after a shared-kernel fault still finds its prepared block in
 // the table. Storage reclamation happens at slot release.
@@ -55,10 +54,9 @@ std::int32_t input_token(const GenerationRequest& req,
 }
 
 /// One fused decode step for every sequence in `live` (rows(i) is
-/// live[i]'s embedded input). The math mirrors GenerationSession's
-/// step_layers + core::incremental_attention row for row — each shared
-/// kernel is row-wise independent, so every sequence's output is
-/// bit-identical to its sequential step. Under Model's kInt8 descriptor
+/// live[i]'s embedded input). Each shared kernel is row-wise
+/// independent, so every sequence's output is bit-identical to the same
+/// step run alone (a batch of one). Under Model's kInt8 descriptor
 /// every projection/FF GEMM swaps to quant::int8_linear, whose per-ROW
 /// activation scales keep that row-wise independence exactly (a stacked
 /// row quantizes as it would alone). Slot-attributed faults retire
@@ -86,15 +84,15 @@ void fused_step(core::ExecContext& ctx, const Model& model,
     for (std::size_t l = 0; l < layers.size(); ++l) {
       const EncoderWeights& w = layers[l];
 
-      // Shared: the whole batch's q/k/v projections, in the layout the
-      // caches store (the same three-way V split as
-      // core::incremental_attention; docs/attention.md "Weight layouts in
-      // the decode path"). Dense weights fuse into ONE batched GEMM (the
-      // A strips — the stacked hidden rows — staged once for all panels);
-      // under the W_VO fold the third panel is W_VO itself, so the
-      // batched projection directly emits the condensed m rows. Pruned
-      // formats keep their specialized kernels, still amortized across
-      // the batch by stacking.
+      // Shared: the whole batch's q/k/v projections, in the layout the caches
+      // store (docs/attention.md "Weight layouts in the decode path"): the m =
+      // x·W_VOᵀ row under the pre-computed fold (§3.1), the condensed v of a
+      // condensable row-pruned W_V (§4.3), or a full-width dense v row. Dense
+      // weights fuse into ONE batched GEMM (the A strips — the stacked hidden
+      // rows — staged once for all panels); under the W_VO fold the third panel
+      // is W_VO itself, so the batched projection directly emits the condensed
+      // m rows. Pruned formats keep their specialized kernels, still amortized
+      // across the batch by stacking.
       tensor::MatrixF q, k_new, v_new;
       const core::PrecomputedVO* vo =
           w.attn.has_precomputed() ? &w.attn.vo : nullptr;
@@ -152,24 +150,24 @@ void fused_step(core::ExecContext& ctx, const Model& model,
                : (v_kept.empty() ? nullptr : &v_kept);
       const std::size_t vw = v_new.cols();  // V-plane width actually cached
 
-      // Per slot: append this token's K/V row and attend over the slot's
-      // own cache — a 1-row OTF instance per sequence, identical to
-      // core::incremental_attention. Launches here carry the slot id, so
-      // a fault is attributable: only the owning slot retires. Slots are
-      // independent (own cache, own output row, own dead flag), so this
-      // loop runs one slot per parallel chunk; slot-attributed launches
-      // land in per-chunk sinks that merge back in slot order, keeping
-      // the device log bit-identical to the serial tick. Faults the body
-      // handles (KernelFault, length_error) never escape a chunk; a
-      // SharedMemOverflow does, and surfaces after the merge exactly
-      // where the serial loop would have thrown it.
+      // Per slot — the incremental attention step: append this token's K/V row
+      // and attend over the slot's own cache, a 1-row OTF instance per sequence
+      // whose score row stays in shared memory. Launches here carry the slot
+      // id, so a fault is attributable: only the owning slot retires. Slots are
+      // independent (own cache, own output row, own dead flag), so this loop
+      // runs one slot per parallel chunk; slot-attributed launches land in
+      // per-chunk sinks that merge back in slot order, keeping the device log
+      // bit-identical to the serial tick. Faults the body handles (KernelFault,
+      // length_error) never escape a chunk; a SharedMemOverflow does, and
+      // surfaces after the merge exactly where the serial loop would have
+      // thrown it.
       tensor::MatrixF z(live.size(), d);
       std::vector<char> dead(live.size(), 0);  // char: written concurrently
       ctx.parallel_for(
           live.size(),
           [&](std::size_t b) {
             TickSlot& slot = *live[b];
-            core::PagedKVCache& cache = (*slot.caches)[l];
+            core::PagedKVView& cache = (*slot.caches)[l];
             gpusim::SlotScope scope(dev, static_cast<int>(slot.pool_slot));
             try {
               cache.append(k_new.row(b), v_new.row(b));
@@ -218,9 +216,8 @@ void fused_step(core::ExecContext& ctx, const Model& model,
                                  static_cast<int>(slot.pool_slot)});
               dead[b] = 1;
             } catch (const std::length_error&) {
-              // A cache filled behind the tick's capacity pre-check;
-              // degrade exactly like generate()'s defensive
-              // kv_cache_full stop.
+              // A cache filled behind the tick's capacity pre-check:
+              // degrade to the same typed kv_cache_full stop.
               rollback(slot);
               slot.state = TickSlot::State::kKvCacheFull;
               dead[b] = 1;
@@ -334,7 +331,7 @@ std::size_t BatchedGenerationScheduler::submit(GenerationRequest req) {
   results_.emplace_back();
   completed_.push_back(false);
   if (requests_.back().max_new_tokens == 0) {
-    // Nothing to decode — mirror generate()'s empty happy path.
+    // Nothing to decode: the empty happy path.
     results_.back().stop_reason = StopReason::kMaxTokens;
     completed_.back() = true;
   } else {
@@ -413,9 +410,8 @@ void BatchedGenerationScheduler::tick(core::ExecContext& ctx) {
     queue_.pop_front();
   }
 
-  // Capacity pre-check — the same at_capacity() stop generate() takes
-  // before a step, applied per slot so one exhausted sequence never
-  // blocks the rest of the batch. prepare_append is the paged half of
+  // Capacity pre-check, per slot so one exhausted sequence never blocks
+  // the rest of the batch. prepare_append is the paged half of
   // it, run SERIALLY in slot order: it allocates (or CoW-splits) the
   // block this tick's append lands in, so block exhaustion retires the
   // slot kv_cache_full here, deterministically, and the parallel appends
@@ -459,8 +455,10 @@ void BatchedGenerationScheduler::tick(core::ExecContext& ctx) {
     for (std::size_t c = 0; c < d; ++c) rows(i, c) = row(0, c);
   }
 
-  bool per_slot = !core::use_batched_decode(model_.options().adaptive,
-                                            tick_slots.size());
+  // One active slot takes the per-slot path: the batched launches would
+  // be the same launches, and a fault there retires the slot instead of
+  // being retried — nn::generate's fault contract.
+  bool per_slot = tick_slots.size() == 1;
   if (!per_slot) {
     ++batched_ticks_;
     std::vector<TickSlot*> live;
@@ -503,7 +501,7 @@ void BatchedGenerationScheduler::tick(core::ExecContext& ctx) {
         const GenerationRequest& req = requests_[ts.request_id];
         // Prefill positions (every prompt token but the last) emit
         // nothing: the hidden state is discarded and the slot just
-        // advances, exactly like nn::generate's prefill loop.
+        // advances.
         const std::size_t prompt_len =
             req.prompt_tokens.empty() ? 1 : req.prompt_tokens.size();
         if (ts.pre_used + 1 < prompt_len) break;

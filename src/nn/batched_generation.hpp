@@ -1,30 +1,36 @@
-// Slot-based batched generation: the serving-side engine over the
-// incremental decode path. Up to `max_batch` sequences are decoded
-// together, one fused tick at a time — the per-slot q/k/v projections
-// collapse into one batched GEMM (kernels::batched_gemm_nt) and the MLP
-// runs once over the stacked rows, amortizing weight loads and kernel
-// launches across the batch, while attention stays partitioned per slot
-// (each sequence attends over its own KVCache, E.T.'s single-row OTF
-// instance). Finished sequences (eos / max_tokens / kv_cache_full /
-// kernel_fault) retire their slot, which is immediately backfilled from a
-// FIFO pending queue; KV storage is recycled through the paged, block-
-// refcounted core::PagedKVPool (docs/serving.md "Paged KV and prefix
-// sharing") — retiring a slot drops one reference per block in its
-// table, so prompt-prefix blocks other requests still alias survive.
+// Slot-based batched generation: the one decode engine. nn::generate is
+// its batch-1 run; serving::InferenceServer drives it tick by tick. Up
+// to `max_batch` sequences are decoded together, one fused tick at a
+// time — the per-slot q/k/v projections collapse into one batched GEMM
+// (kernels::batched_gemm_nt) and the MLP runs once over the stacked rows,
+// amortizing weight loads and kernel launches across the batch, while
+// attention stays partitioned per slot (each sequence attends over its
+// own paged KV, E.T.'s single-row OTF instance). Finished sequences (eos
+// / max_tokens / kv_cache_full / kernel_fault) retire their slot, which
+// is immediately backfilled from a FIFO pending queue; KV storage is
+// recycled through the paged, block-refcounted core::PagedKVPool
+// (docs/serving.md "Paged KV and prefix sharing") — retiring a slot drops
+// one reference per block in its table, so prompt-prefix blocks other
+// requests still alias survive.
 //
 // The correctness contract, enforced by tests/test_batched_generation.cpp:
 // every per-row kernel is row-wise independent, so a batch-of-N decode is
 // BIT-IDENTICAL to N independent nn::generate runs — batching buys
 // throughput, never different answers.
 //
-// Fault semantics (extends the PR-1 truncate-on-fault step atomicity):
+// Fault semantics — a tick is atomic per slot: every slot's KV cursors
+// are rolled back to their pre-tick length before a fault can leave a
+// partial step behind.
 //   - a fault in a slot-attributed kernel (that slot's attention) rolls
 //     back and retires only the owning slot; the other slots' tick
 //     completes unaffected;
 //   - a fault in a shared batched kernel rolls every slot back to its
 //     pre-tick context and the tick degrades to per-slot stepping
 //     (recorded via Device::note_fallback), where any persistent fault is
-//     attributable again.
+//     attributable again;
+//   - a tick with ONE active slot takes the per-slot path directly, so a
+//     fault there retires that slot kernel_fault and is not retried —
+//     nn::generate's fault contract.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +38,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/adaptive.hpp"
 #include "core/block_allocator.hpp"
-#include "core/kv_cache.hpp"
 #include "nn/encoder.hpp"
 #include "nn/generation.hpp"
 #include "nn/model.hpp"
@@ -64,7 +68,7 @@ class BatchedGenerationScheduler {
   /// from the Model are preserved inside the block geometry, so
   /// pre-computed W_VO and condensed row-pruned layouts still cache only
   /// what they need. The default PagedKVOptions sizes the pool so no
-  /// workload the old contiguous pool could serve can OOM; a smaller
+  /// slot can run out of blocks before max_context; a smaller
   /// num_blocks makes block exhaustion a typed kv_cache_full stop, and
   /// kv.enable_prefix_sharing lets same-group requests with a common
   /// prompt prefix alias blocks copy-on-write (memory only — transcripts

@@ -1,185 +1,16 @@
 #include "nn/generation.hpp"
 
-#include <cassert>
-#include <cmath>
-
-#include "core/kv_cache.hpp"
-#include "kernels/elementwise.hpp"
-#include "kernels/linear.hpp"
-#include "quant/quantize.hpp"
+#include "nn/batched_generation.hpp"
 
 namespace et::nn {
 
-GenerationSession::GenerationSession(const Model& model) : model_(model) {
-  caches_.reserve(model_.num_layers());
-  for (std::size_t l = 0; l < model_.num_layers(); ++l) {
-    caches_.emplace_back(model_.max_context(), model_.k_width(),
-                         model_.v_width(l));
-  }
-}
-
-tensor::MatrixF GenerationSession::step(core::ExecContext& ctx,
-                                        const tensor::MatrixF& x_row) {
-  assert(x_row.rows() == 1 && x_row.cols() == model_.d_model());
-  const auto p = model_.options().attn.precision;
-
-  // A kernel fault partway through the stack would leave earlier layers'
-  // caches one row longer than later ones. Roll every cache back to its
-  // pre-step length on any exception so a failed step has no effect.
-  const std::size_t pre_step = context_length();
-  const auto rollback = [&]() noexcept {
-    for (auto& cache : caches_) cache.truncate(pre_step);
-  };
-  try {
-    return step_layers(ctx, x_row, p);
-  } catch (...) {
-    rollback();
-    throw;
-  }
-}
-
-tensor::MatrixF GenerationSession::step_layers(core::ExecContext& ctx,
-                                               const tensor::MatrixF& x_row,
-                                               numeric::Precision p) {
-  gpusim::Device& dev = ctx.device();
-  const std::vector<EncoderWeights>& layers = model_.layers();
-  const EncoderOptions& opt = model_.options();
-  const bool int8 = model_.quantized();
-  tensor::MatrixF h = x_row;
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    const EncoderWeights& w = layers[l];
-    const QuantizedLayer* ql = int8 ? &model_.quantized_layer(l) : nullptr;
-    tensor::MatrixF attn;
-    if (int8) {
-      // INT8 swaps every projection GEMM; the attention step itself
-      // (append + 1-row OTF launch + softmax math) is the shared fp32
-      // core::incremental_attention_step — quantization never touches
-      // the score math, only the operands feeding it.
-      tensor::MatrixF q = quant::int8_linear(ctx, h, ql->wq, "gen_q_int8");
-      tensor::MatrixF k_new =
-          quant::int8_linear(ctx, h, ql->wk, "gen_k_int8");
-      const core::PrecomputedVO* vo = nullptr;
-      tensor::MatrixF v_new;
-      if (w.attn.has_precomputed()) {
-        vo = &w.attn.vo;  // metadata (kept/heads) still reads the fp fold
-        v_new = quant::int8_linear(ctx, h, ql->vo, "gen_vo_int8");
-      } else {
-        v_new = quant::int8_linear(ctx, h, ql->wv, "gen_v_int8");
-      }
-      tensor::MatrixF z = core::incremental_attention_step(
-          ctx, q, k_new, v_new, vo,
-          ql->v_kept.empty() ? nullptr : &ql->v_kept, opt.attn, caches_[l]);
-      attn = (vo != nullptr)
-                 ? std::move(z)
-                 : quant::int8_linear(ctx, z, ql->wo, "gen_out_int8");
-    } else {
-      attn = core::incremental_attention(ctx, h, w.attn, opt.attn,
-                                         caches_[l]);
-    }
-    kernels::fused_residual_layernorm(dev, attn, h, w.ln1_gamma, w.ln1_beta,
-                                      p, "gen_residual_layernorm1");
-
-    kernels::LinearOptions lopt;
-    lopt.precision = p;
-    tensor::MatrixF m =
-        int8 ? quant::int8_linear(ctx, attn, ql->ff1, "gen_ff1_int8")
-             : kernels::linear(ctx, attn, w.w_ff1, lopt, "gen_ff1").y;
-    if (!dev.traffic_only()) {
-      constexpr float kSqrt2OverPi = 0.7978845608028654f;
-      for (std::size_t c = 0; c < m.cols(); ++c) {
-        const float v = m(0, c) + w.b_ff1[c];
-        const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
-        m(0, c) = numeric::round_to_storage(
-            p, 0.5f * v * (1.0f + std::tanh(inner)));
-      }
-    }
-    tensor::MatrixF y =
-        int8 ? quant::int8_linear(ctx, m, ql->ff2, "gen_ff2_int8")
-             : kernels::linear(ctx, m, w.w_ff2, lopt, "gen_ff2").y;
-    if (!dev.traffic_only()) {
-      for (std::size_t c = 0; c < y.cols(); ++c) {
-        y(0, c) = numeric::round_to_storage(p, y(0, c) + w.b_ff2[c]);
-      }
-    }
-    kernels::fused_residual_layernorm(dev, y, attn, w.ln2_gamma, w.ln2_beta,
-                                      p, "gen_residual_layernorm2");
-    h = std::move(y);
-  }
-  return h;
-}
-
-tensor::MatrixF GenerationSession::prime(core::ExecContext& ctx,
-                                         const tensor::MatrixF& prompt) {
-  tensor::MatrixF last;
-  for (std::size_t t = 0; t < prompt.rows(); ++t) {
-    tensor::MatrixF row(1, prompt.cols());
-    for (std::size_t c = 0; c < prompt.cols(); ++c) row(0, c) = prompt(t, c);
-    last = step(ctx, row);
-  }
-  return last;
-}
-
-void GenerationSession::reset() {
-  for (auto& cache : caches_) cache.reset();
-}
-
 GenerationResult generate(core::ExecContext& ctx, GenerationSession& session,
                           const DecodeParams& params) {
-  GenerationResult result;
-  if (params.max_new_tokens == 0) {
-    result.stop_reason = StopReason::kMaxTokens;
-    return result;
-  }
-  const std::vector<std::int32_t> prompt = params.prompt();
-  // Prefill: positions 0..n-2 populate the KV caches and emit nothing;
-  // their hidden states are discarded. Capacity and fault stops degrade
-  // exactly like the decode loop's — the (empty) partial reply is kept.
-  for (std::size_t t = 0; t + 1 < prompt.size(); ++t) {
-    if (session.at_capacity()) {
-      result.stop_reason = StopReason::kKvCacheFull;
-      return result;
-    }
-    try {
-      (void)session.step(ctx,
-                         params.embed(prompt[t], session.context_length()));
-    } catch (const gpusim::KernelFault& f) {
-      result.stop_reason = StopReason::kKernelFault;
-      result.fault_kernel = f.kernel();
-      return result;
-    } catch (const std::length_error&) {
-      result.stop_reason = StopReason::kKvCacheFull;
-      return result;
-    }
-  }
-  std::int32_t token = prompt.back();
-  for (std::size_t t = 0; t < params.max_new_tokens; ++t) {
-    if (session.at_capacity()) {
-      result.stop_reason = StopReason::kKvCacheFull;
-      return result;
-    }
-    tensor::MatrixF h;
-    try {
-      h = session.step(ctx, params.embed(token, session.context_length()));
-    } catch (const gpusim::KernelFault& f) {
-      result.stop_reason = StopReason::kKernelFault;
-      result.fault_kernel = f.kernel();
-      return result;
-    } catch (const std::length_error&) {
-      // Defensive: a cache filled behind our back (shared caches, races in
-      // future batched paths) must degrade exactly like the pre-checked
-      // capacity stop, never abort generation.
-      result.stop_reason = StopReason::kKvCacheFull;
-      return result;
-    }
-    token = params.select(h);
-    result.tokens.push_back(token);
-    if (params.eos_token >= 0 && token == params.eos_token) {
-      result.stop_reason = StopReason::kEos;
-      return result;
-    }
-  }
-  result.stop_reason = StopReason::kMaxTokens;
-  return result;
+  BatchedGenerationScheduler sched(session.model(), /*max_batch=*/1);
+  GenerationRequest req;
+  static_cast<DecodeParams&>(req) = params;
+  const std::size_t id = sched.submit(std::move(req));
+  return sched.run(ctx)[id];
 }
 
 GenerationResult generate(core::ExecContext& ctx, GenerationSession& session,

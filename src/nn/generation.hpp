@@ -1,6 +1,8 @@
 // Autoregressive generation over the inference stack: a decoder-only
 // model (stack of causal encoder layers, GPT-style per §2.1) consuming
-// one token per step with per-layer KV caches.
+// one token per position. There is one decode engine — the slot-based
+// BatchedGenerationScheduler (nn/batched_generation.hpp) over the paged
+// KV pool — and generate() below is its batch-1 run.
 #pragma once
 
 #include <cstddef>
@@ -9,60 +11,25 @@
 #include <string>
 #include <vector>
 
-#include "core/kv_cache.hpp"
 #include "core/prefix_trie.hpp"
 #include "nn/encoder.hpp"
 #include "nn/model.hpp"
 
 namespace et::nn {
 
-/// Holds the per-layer KV caches and steps the stack one token at a time.
-/// Prefill (`prime`) runs the prompt through token by token so the caches
-/// and the step path share one code path (and one set of tests).
+/// The model a batch-1 generate() decodes with. The session copies the
+/// handle (cheap: pointer + options + flags), so the caller's Model may
+/// be a temporary, but the layer vector the Model borrows must outlive
+/// the session. KV state lives in the scheduler each generate() call
+/// builds, so one session serves any number of independent calls.
 class GenerationSession {
  public:
-  /// Constructed from the validated nn::Model handle — the session copies
-  /// the handle (cheap: pointer + options + flags), so the caller's Model
-  /// may be a temporary, but the layer vector the Model borrows must
-  /// outlive the session. Each per-layer cache is sized to the layer's
-  /// V-plane width (Model::v_width), so condensed and folded layouts
-  /// allocate only what they cache.
-  explicit GenerationSession(const Model& model);
-
-  /// Feed one token's embedding (1 × d_model); returns the top-layer
-  /// hidden state for that position (1 × d_model). Atomic under faults:
-  /// if a kernel fails partway through the layer stack, every per-layer
-  /// KV cache is rolled back to its pre-step length before the exception
-  /// propagates, so the session stays consistent and resumable.
-  [[nodiscard]] tensor::MatrixF step(core::ExecContext& ctx,
-                                     const tensor::MatrixF& x_row);
-
-  /// Feed a whole prompt (rows = tokens); returns the final position's
-  /// hidden state.
-  [[nodiscard]] tensor::MatrixF prime(core::ExecContext& ctx,
-                                      const tensor::MatrixF& prompt);
+  explicit GenerationSession(const Model& model) : model_(model) {}
 
   [[nodiscard]] const Model& model() const noexcept { return model_; }
 
-  [[nodiscard]] std::size_t context_length() const noexcept {
-    return caches_.empty() ? 0 : caches_[0].used();
-  }
-  [[nodiscard]] std::size_t max_context() const noexcept {
-    return model_.max_context();
-  }
-  [[nodiscard]] bool at_capacity() const noexcept {
-    return context_length() >= max_context();
-  }
-
-  void reset();
-
  private:
-  [[nodiscard]] tensor::MatrixF step_layers(core::ExecContext& ctx,
-                                            const tensor::MatrixF& x_row,
-                                            numeric::Precision p);
-
   Model model_;
-  std::vector<core::KVCache> caches_;  // one per layer
 };
 
 /// Why generate() stopped emitting tokens. The last three arise only
@@ -152,13 +119,16 @@ struct DecodeParams {
 };
 
 /// Autoregressive generation with graceful limits: feeds
-/// `params.first_token`, then repeatedly selects and feeds the next
-/// token, up to `max_new_tokens` emissions. KV-cache exhaustion and
-/// per-step kernel faults are stop conditions, not errors: the result
-/// carries everything generated so far plus the reason generation ended.
-/// Only non-fault exceptions (e.g. a bad config) propagate. A
-/// non-negative `eos_token` additionally stops (reason kEos) once that
-/// token is emitted — the emission itself is kept in the result.
+/// `params.first_token` (or the prompt), then repeatedly selects and
+/// feeds the next token, up to `max_new_tokens` emissions. Runs `params`
+/// as the only request of a fresh one-slot BatchedGenerationScheduler
+/// over `session.model()` (default PagedKVOptions), so its transcript is
+/// bit-identical to the same request in any batch. KV-cache exhaustion
+/// and kernel faults are stop conditions, not errors: the result carries
+/// everything generated so far plus the reason generation ended. Only
+/// non-fault exceptions (e.g. a bad config) propagate. A non-negative
+/// `eos_token` additionally stops (reason kEos) once that token is
+/// emitted — the emission itself is kept in the result.
 [[nodiscard]] GenerationResult generate(core::ExecContext& ctx,
                                         GenerationSession& session,
                                         const DecodeParams& params);

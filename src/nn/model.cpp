@@ -84,7 +84,8 @@ Model::Model(const std::vector<EncoderWeights>* layers, EncoderOptions opt,
   // row-pruned W_V quantizes condensed (v_kept preserving the column
   // map), and everything else quantizes its dense materialization —
   // pruned zeros round to exact zeros, so the mask survives bit for bit.
-  qlayers_.reserve(layers_->size());
+  std::vector<QuantizedLayer> qlayers;
+  qlayers.reserve(layers_->size());
   for (const EncoderWeights& w : *layers_) {
     QuantizedLayer ql;
     ql.wq = quant::quantize_weight(sparse::to_dense(w.attn.wq));
@@ -102,8 +103,10 @@ Model::Model(const std::vector<EncoderWeights>* layers, EncoderOptions opt,
     }
     ql.ff1 = quant::quantize_weight(sparse::to_dense(w.w_ff1));
     ql.ff2 = quant::quantize_weight(sparse::to_dense(w.w_ff2));
-    qlayers_.push_back(std::move(ql));
+    qlayers.push_back(std::move(ql));
   }
+  qlayers_ = std::make_shared<const std::vector<QuantizedLayer>>(
+      std::move(qlayers));
 }
 
 }  // namespace et::nn

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -92,7 +93,7 @@ class Model {
   /// The owned INT8 weights for `layer`; only meaningful when
   /// quantized().
   [[nodiscard]] const QuantizedLayer& quantized_layer(std::size_t layer) const {
-    return qlayers_.at(layer);
+    return qlayers_->at(layer);
   }
 
   /// Cached K-plane row width (always the full hidden width).
@@ -116,7 +117,11 @@ class Model {
   std::vector<sparse::PruneMethod> prune_methods_;
   bool has_precomputed_ = false;
   WeightFormat format_ = WeightFormat::kDense;
-  std::vector<QuantizedLayer> qlayers_;  // non-empty iff kInt8
+  // Non-empty iff kInt8; shared so copying a Model (every decode entry
+  // path holds its own copy — one per nn::generate call) never copies
+  // the quantized weights.
+  std::shared_ptr<const std::vector<QuantizedLayer>> qlayers_ =
+      std::make_shared<const std::vector<QuantizedLayer>>();
 };
 
 }  // namespace et::nn

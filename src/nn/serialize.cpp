@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdint>
 #include <fstream>
-#include <iostream>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -13,11 +12,10 @@ namespace et::nn {
 
 namespace {
 
-constexpr std::uint32_t kMagicV1 = 0x31575445;     // "ETW1" (legacy)
+constexpr std::uint32_t kMagicV1 = 0x31575445;     // "ETW1" (retired)
 constexpr std::uint32_t kMagicV2 = 0x32575445;     // "ETW2" (checksummed)
-constexpr std::uint32_t kDecMagicV1 = 0x31445445;  // "ETD1" (legacy)
+constexpr std::uint32_t kDecMagicV1 = 0x31445445;  // "ETD1" (retired)
 constexpr std::uint32_t kDecMagicV2 = 0x32445445;  // "ETD2" (checksummed)
-constexpr std::uint32_t kVersion1 = 1;
 constexpr std::uint32_t kVersion2 = 2;
 
 /// A tampered layer-count field must not become a giant reserve().
@@ -368,53 +366,31 @@ EncoderWeights load_encoder_sections(std::istream& is,
   return w;
 }
 
-/// Legacy v1 layer layout: a flat, unchecksummed field sequence.
-void save_encoder_weights_v1(std::ostream& os, const EncoderWeights& w) {
-  put_weight(os, w.attn.wq);
-  put_weight(os, w.attn.wk);
-  put_weight(os, w.attn.wv);
-  put_weight(os, w.attn.wo);
-  put_u64(os, w.attn.vo.num_heads);
-  put_u32s(os, w.attn.vo.kept_cols);
-  put_matrix(os, w.attn.vo.weight);
-  put_weight(os, w.w_ff1);
-  put_weight(os, w.w_ff2);
-  put_vector(os, w.b_ff1);
-  put_vector(os, w.b_ff2);
-  put_vector(os, w.ln1_gamma);
-  put_vector(os, w.ln1_beta);
-  put_vector(os, w.ln2_gamma);
-  put_vector(os, w.ln2_beta);
-}
-
-EncoderWeights load_encoder_weights_v1(std::istream& is) {
-  EncoderWeights w;
-  w.attn.wq = get_weight(is);
-  w.attn.wk = get_weight(is);
-  w.attn.wv = get_weight(is);
-  w.attn.wo = get_weight(is);
-  w.attn.vo.num_heads = get_u64(is);
-  w.attn.vo.kept_cols = get_u32s(is);
-  w.attn.vo.weight = get_matrix(is);
-  w.w_ff1 = get_weight(is);
-  w.w_ff2 = get_weight(is);
-  w.b_ff1 = get_floats(is);
-  w.b_ff2 = get_floats(is);
-  w.ln1_gamma = get_floats(is);
-  w.ln1_beta = get_floats(is);
-  w.ln2_gamma = get_floats(is);
-  w.ln2_beta = get_floats(is);
-  return w;
-}
-
 std::string layer_prefix(std::uint64_t i) {
   return "layer" + std::to_string(i) + "/";
 }
 
-void warn_legacy(const char* kind) {
-  std::cerr << "et::nn::load: warning: loading legacy " << kind
-            << " checkpoint without per-section checksums; re-save to "
-               "upgrade to the checksummed v2 format\n";
+/// Reads and checks the stack header (magic + version) shared by the
+/// encoder (ETW2) and decoder (ETD2) formats. The retired unchecksummed
+/// v1 magic gets its own error: checkpoints are untrusted input, and
+/// without per-section CRCs a bit flip would load as different weights.
+void check_header(std::istream& is, std::uint32_t magic_v2,
+                  std::uint32_t magic_v1, const char* kind) {
+  const std::uint32_t magic = get_u32(is);
+  if (magic == magic_v1) {
+    throw std::runtime_error(
+        std::string("et::nn::load: legacy unchecksummed ") + kind +
+        "1 checkpoint; only the checksummed v2 formats (ETW2 / ETD2) load");
+  }
+  if (magic != magic_v2) {
+    throw std::runtime_error(std::string("et::nn::load: bad magic (not an ") +
+                             kind + " file)");
+  }
+  const std::uint32_t version = get_u32(is);
+  if (version != kVersion2) {
+    throw std::runtime_error("et::nn::load: unsupported version " +
+                             std::to_string(version));
+  }
 }
 
 }  // namespace
@@ -456,39 +432,8 @@ void save_decoder_stack(std::ostream& os,
   }
 }
 
-void save_decoder_stack_v1(std::ostream& os,
-                           const std::vector<DecoderWeights>& layers) {
-  put_u32(os, kDecMagicV1);
-  put_u32(os, kVersion1);
-  put_u64(os, layers.size());
-  for (const auto& w : layers) {
-    put_attention(os, w.self_attn);
-    put_attention(os, w.cross_attn);
-    put_weight(os, w.w_ff1);
-    put_weight(os, w.w_ff2);
-    put_vector(os, w.b_ff1);
-    put_vector(os, w.b_ff2);
-    put_vector(os, w.ln1_gamma);
-    put_vector(os, w.ln1_beta);
-    put_vector(os, w.ln2_gamma);
-    put_vector(os, w.ln2_beta);
-    put_vector(os, w.ln3_gamma);
-    put_vector(os, w.ln3_beta);
-  }
-}
-
 std::vector<DecoderWeights> load_decoder_stack(std::istream& is) {
-  const std::uint32_t magic = get_u32(is);
-  if (magic != kDecMagicV1 && magic != kDecMagicV2) {
-    throw std::runtime_error("et::nn::load: bad magic (not an ETD file)");
-  }
-  const std::uint32_t version = get_u32(is);
-  if ((magic == kDecMagicV1 && version != kVersion1) ||
-      (magic == kDecMagicV2 && version != kVersion2)) {
-    throw std::runtime_error("et::nn::load: unsupported decoder version " +
-                             std::to_string(version));
-  }
-  if (magic == kDecMagicV1) warn_legacy("ETD1");
+  check_header(is, kDecMagicV2, kDecMagicV1, "ETD");
   const std::uint64_t count = get_u64(is);
   if (count > kMaxLayers) {
     throw std::runtime_error("et::nn::load: implausible layer count " +
@@ -498,46 +443,31 @@ std::vector<DecoderWeights> load_decoder_stack(std::istream& is) {
   layers.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     DecoderWeights w;
-    if (magic == kDecMagicV1) {
-      w.self_attn = get_attention(is);
-      w.cross_attn = get_attention(is);
-      w.w_ff1 = get_weight(is);
-      w.w_ff2 = get_weight(is);
-      w.b_ff1 = get_floats(is);
-      w.b_ff2 = get_floats(is);
-      w.ln1_gamma = get_floats(is);
-      w.ln1_beta = get_floats(is);
-      w.ln2_gamma = get_floats(is);
-      w.ln2_beta = get_floats(is);
-      w.ln3_gamma = get_floats(is);
-      w.ln3_beta = get_floats(is);
-    } else {
-      const std::string prefix = layer_prefix(i);
-      w.self_attn = get_section(is, prefix + "self_attention",
-                                [](std::istream& p) {
-                                  return get_attention(p);
-                                });
-      w.cross_attn = get_section(is, prefix + "cross_attention",
-                                 [](std::istream& p) {
-                                   return get_attention(p);
-                                 });
-      get_section(is, prefix + "ffn", [&](std::istream& p) {
-        w.w_ff1 = get_weight(p);
-        w.w_ff2 = get_weight(p);
-        w.b_ff1 = get_floats(p);
-        w.b_ff2 = get_floats(p);
-        return 0;
-      });
-      get_section(is, prefix + "layernorm", [&](std::istream& p) {
-        w.ln1_gamma = get_floats(p);
-        w.ln1_beta = get_floats(p);
-        w.ln2_gamma = get_floats(p);
-        w.ln2_beta = get_floats(p);
-        w.ln3_gamma = get_floats(p);
-        w.ln3_beta = get_floats(p);
-        return 0;
-      });
-    }
+    const std::string prefix = layer_prefix(i);
+    w.self_attn = get_section(is, prefix + "self_attention",
+                              [](std::istream& p) {
+                                return get_attention(p);
+                              });
+    w.cross_attn = get_section(is, prefix + "cross_attention",
+                               [](std::istream& p) {
+                                 return get_attention(p);
+                               });
+    get_section(is, prefix + "ffn", [&](std::istream& p) {
+      w.w_ff1 = get_weight(p);
+      w.w_ff2 = get_weight(p);
+      w.b_ff1 = get_floats(p);
+      w.b_ff2 = get_floats(p);
+      return 0;
+    });
+    get_section(is, prefix + "layernorm", [&](std::istream& p) {
+      w.ln1_gamma = get_floats(p);
+      w.ln1_beta = get_floats(p);
+      w.ln2_gamma = get_floats(p);
+      w.ln2_beta = get_floats(p);
+      w.ln3_gamma = get_floats(p);
+      w.ln3_beta = get_floats(p);
+      return 0;
+    });
     layers.push_back(std::move(w));
   }
   return layers;
@@ -553,26 +483,8 @@ void save_encoder_stack(std::ostream& os,
   }
 }
 
-void save_encoder_stack_v1(std::ostream& os,
-                           const std::vector<EncoderWeights>& layers) {
-  put_u32(os, kMagicV1);
-  put_u32(os, kVersion1);
-  put_u64(os, layers.size());
-  for (const auto& layer : layers) save_encoder_weights_v1(os, layer);
-}
-
 std::vector<EncoderWeights> load_encoder_stack(std::istream& is) {
-  const std::uint32_t magic = get_u32(is);
-  if (magic != kMagicV1 && magic != kMagicV2) {
-    throw std::runtime_error("et::nn::load: bad magic (not an ETW file)");
-  }
-  const std::uint32_t version = get_u32(is);
-  if ((magic == kMagicV1 && version != kVersion1) ||
-      (magic == kMagicV2 && version != kVersion2)) {
-    throw std::runtime_error("et::nn::load: unsupported version " +
-                             std::to_string(version));
-  }
-  if (magic == kMagicV1) warn_legacy("ETW1");
+  check_header(is, kMagicV2, kMagicV1, "ETW");
   const std::uint64_t count = get_u64(is);
   if (count > kMaxLayers) {
     throw std::runtime_error("et::nn::load: implausible layer count " +
@@ -581,9 +493,7 @@ std::vector<EncoderWeights> load_encoder_stack(std::istream& is) {
   std::vector<EncoderWeights> layers;
   layers.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    layers.push_back(magic == kMagicV1
-                         ? load_encoder_weights_v1(is)
-                         : load_encoder_sections(is, layer_prefix(i)));
+    layers.push_back(load_encoder_sections(is, layer_prefix(i)));
   }
   return layers;
 }

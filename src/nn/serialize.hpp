@@ -7,8 +7,8 @@
 // ("layer0/attention", "layer0/ffn", ...), each carrying its payload size
 // and a CRC32 of the payload. A truncated or bit-flipped checkpoint is
 // rejected with an error naming the bad section instead of loading
-// garbage weights. Legacy "ETW1"/"ETD1" streams (magic + element counts,
-// no checksums) still load, with a warning. Not designed for cross-endian
+// garbage weights. The retired unchecksummed "ETW1"/"ETD1" formats are
+// rejected by magic with an error naming ETW2. Not designed for cross-endian
 // portability (like most ML checkpoint formats).
 #pragma once
 
@@ -35,14 +35,6 @@ void save_encoder_stack(std::ostream& os,
 void save_decoder_stack(std::ostream& os,
                         const std::vector<DecoderWeights>& layers);
 [[nodiscard]] std::vector<DecoderWeights> load_decoder_stack(std::istream& is);
-
-/// Legacy v1 writers (no per-section checksums). Retained so compat tests
-/// and older tooling can still produce ETW1/ETD1 streams; new code should
-/// use the checksummed save_*_stack above.
-void save_encoder_stack_v1(std::ostream& os,
-                           const std::vector<EncoderWeights>& layers);
-void save_decoder_stack_v1(std::ostream& os,
-                           const std::vector<DecoderWeights>& layers);
 
 /// File-path convenience wrappers; throw std::runtime_error on IO failure.
 void save_encoder_stack(const std::string& path,

@@ -1,6 +1,7 @@
 // Differential-testing harness for batched generation (docs/serving.md):
 // the same workload is decoded twice — N independent nn::generate runs
-// (the sequential reference) and one BatchedGenerationScheduler run — and
+// (the sequential reference: batch-1 runs of the scheduler, one request
+// after another) and one batch-N BatchedGenerationScheduler run — and
 // the two transcripts must match BIT FOR BIT.
 //
 // Bit-identity is checkable because the embed/select closures are
@@ -137,8 +138,8 @@ struct Outcome {
   std::vector<tensor::MatrixF> hidden_values;
 };
 
-/// Sequential reference: one fresh GenerationSession + nn::generate per
-/// request, in submission order. `threads` sizes the ExecContext pool;
+/// Sequential reference: one nn::generate call — a batch-1 scheduler run
+/// — per request, in submission order. `threads` sizes the ExecContext pool;
 /// the default of 1 is the canonical serial reference, and any other
 /// value must reproduce it bit for bit (the ExecContext determinism
 /// contract — the threads axis of the differential sweep). `format`

@@ -364,9 +364,9 @@ TEST(BatchedGenerationApi, ResultThrowsUntilTheRequestFinishes) {
 }
 
 TEST(BatchedGenerationApi, SingleActiveSlotTakesThePerSlotPath) {
-  // Below AdaptivePolicy::batched_decode_min_slots the batched launch
-  // isn't worth it; the scheduler must step per slot and count no
-  // batched ticks.
+  // A tick with one active slot takes the per-slot path (the batched
+  // launches would be the same launches, and a fault there must retire
+  // the slot, not be retried); no batched tick is counted.
   const std::size_t max_context = 8;
   const Model m = make_model(1, 32, 2, max_context, 31, false);
   const std::vector<Request> requests = {{4, 3, et::nn::kNoEosToken, 41}};

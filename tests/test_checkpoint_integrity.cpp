@@ -1,16 +1,18 @@
 // Checkpoint integrity: the v2 ("ETW2"/"ETD2") format detects truncation
 // and bit flips per named section, rejects implausible header fields, and
-// still loads legacy v1 streams (with a warning). Every corruption test
-// asserts the error message names the bad section — a corrupted
+// rejects the retired unchecksummed v1 streams by magic. Every corruption
+// test asserts the error message names the bad section — a corrupted
 // checkpoint must point at *what* is bad, not just fail. See
 // docs/robustness.md.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
-#include <iostream>
+#include <fstream>
 #include <sstream>
 
 #include "nn/serialize.hpp"
+#include "serving/registry.hpp"
 #include "tensor/compare.hpp"
 
 namespace {
@@ -202,40 +204,46 @@ TEST(CheckpointIntegrity, ImplausibleLayerCountRejectedBeforeAllocating) {
 
 // ---------------------------------------------------- legacy formats ----
 
-TEST(CheckpointIntegrity, LegacyEtw1LoadsEqualWithWarning) {
-  const auto layers = tiny_stack(109);
-  std::stringstream ss;
-  et::nn::save_encoder_stack_v1(ss, layers);
-  EXPECT_EQ(ss.str().substr(0, 4), "ETW1");
-
-  std::stringstream warning;
-  auto* old = std::cerr.rdbuf(warning.rdbuf());
-  const auto loaded = et::nn::load_encoder_stack(ss);
-  std::cerr.rdbuf(old);
-
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_TRUE(weights_equal(loaded[0], layers[0]));
-  EXPECT_TRUE(weights_equal(loaded[1], layers[1]));
-  EXPECT_NE(warning.str().find("legacy ETW1"), std::string::npos);
+/// A hand-built v1 stream header: 4-byte magic, u32 version 1, u64 layer
+/// count 1 — what an ETW1/ETD1 writer put first.
+std::string v1_header(const char* magic) {
+  std::string blob(magic, 4);
+  const std::uint32_t version = 1;
+  const std::uint64_t count = 1;
+  blob.append(reinterpret_cast<const char*>(&version), sizeof version);
+  blob.append(reinterpret_cast<const char*>(&count), sizeof count);
+  return blob;
 }
 
-TEST(CheckpointIntegrity, Etw1ResaveUpgradesToEtw2) {
-  const auto layers = tiny_stack(110);
-  std::stringstream v1;
-  et::nn::save_encoder_stack_v1(v1, layers);
+TEST(CheckpointIntegrity, LegacyV1MagicIsRejectedNamingEtw2) {
+  // Checkpoints are untrusted input: an unchecksummed v1 stream must be
+  // refused by magic, before any payload is read, by both loaders and by
+  // the serving registry — with an error that names the format to use.
+  std::stringstream etw1(v1_header("ETW1"));
+  const std::string enc =
+      error_of([&] { (void)et::nn::load_encoder_stack(etw1); });
+  EXPECT_NE(enc.find("ETW1"), std::string::npos) << enc;
+  EXPECT_NE(enc.find("ETW2"), std::string::npos) << enc;
 
-  std::stringstream warning;  // swallow the legacy warning
-  auto* old = std::cerr.rdbuf(warning.rdbuf());
-  const auto migrated = et::nn::load_encoder_stack(v1);
-  std::cerr.rdbuf(old);
+  std::stringstream etd1(v1_header("ETD1"));
+  const std::string dec =
+      error_of([&] { (void)et::nn::load_decoder_stack(etd1); });
+  EXPECT_NE(dec.find("ETD1"), std::string::npos) << dec;
+  EXPECT_NE(dec.find("ETW2"), std::string::npos) << dec;
 
-  std::stringstream v2;
-  et::nn::save_encoder_stack(v2, migrated);
-  EXPECT_EQ(v2.str().substr(0, 4), "ETW2");
-  const auto reloaded = et::nn::load_encoder_stack(v2);
-  ASSERT_EQ(reloaded.size(), 2u);
-  EXPECT_TRUE(weights_equal(reloaded[0], layers[0]));
-  EXPECT_TRUE(weights_equal(reloaded[1], layers[1]));
+  const std::string path = ::testing::TempDir() + "checkpoint_v1.etw";
+  {
+    std::ofstream os(path, std::ios::binary);
+    os << v1_header("ETW1");
+  }
+  et::serving::ModelRegistry registry;
+  auto opt = et::nn::options_for(et::nn::Pipeline::kET, tiny_model(), 8,
+                                 /*causal=*/true);
+  const std::string reg =
+      error_of([&] { registry.load_file("legacy", 1, path, opt, 8); });
+  EXPECT_NE(reg.find("ETW2"), std::string::npos) << reg;
+  EXPECT_EQ(registry.models_loaded(), 0u);
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------------ decoder ----
@@ -264,27 +272,6 @@ TEST(CheckpointIntegrity, DecoderV2RoundTripAndCorruptionNaming) {
       error_of([&] { (void)et::nn::load_decoder_stack(corrupted); });
   EXPECT_NE(msg.find("layer0/cross_attention"), std::string::npos) << msg;
   EXPECT_NE(msg.find("CRC32"), std::string::npos) << msg;
-}
-
-TEST(CheckpointIntegrity, LegacyEtd1LoadsEqualWithWarning) {
-  const auto model = tiny_model();
-  std::vector<et::nn::DecoderWeights> layers = {
-      et::nn::make_dense_decoder_weights(model, 113)};
-  std::stringstream ss;
-  et::nn::save_decoder_stack_v1(ss, layers);
-  EXPECT_EQ(ss.str().substr(0, 4), "ETD1");
-
-  std::stringstream warning;
-  auto* old = std::cerr.rdbuf(warning.rdbuf());
-  const auto loaded = et::nn::load_decoder_stack(ss);
-  std::cerr.rdbuf(old);
-
-  ASSERT_EQ(loaded.size(), 1u);
-  using et::sparse::to_dense;
-  EXPECT_TRUE(allclose(to_dense(loaded[0].self_attn.wq),
-                       to_dense(layers[0].self_attn.wq), 0.0, 0.0));
-  EXPECT_EQ(loaded[0].ln3_beta, layers[0].ln3_beta);
-  EXPECT_NE(warning.str().find("legacy ETD1"), std::string::npos);
 }
 
 }  // namespace

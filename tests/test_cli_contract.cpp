@@ -381,8 +381,7 @@ TEST(CliContract, ListenFlagValidatesPortAndDrainTicks) {
   // And --help documents the whole network flag set.
   const auto help = run_cli("--help");
   ASSERT_EQ(help.exit_code, 0);
-  for (const char* flag :
-       {"--listen", "--drain-ticks", "--allow-unchecksummed"}) {
+  for (const char* flag : {"--listen", "--drain-ticks"}) {
     EXPECT_NE(help.output.find(flag), std::string::npos)
         << "--help is missing " << flag;
   }

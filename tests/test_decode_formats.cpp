@@ -1,6 +1,6 @@
 // Decode-path weight layouts behind the nn::Model handle: the
 // pre-computed W_VO fold (§3.1 / Eq. 5) and the attention-aware pruned
-// formats (§4.3) must flow through every decode entry path — sequential
+// formats (§4.3) must flow through every decode entry path — batch-1
 // generate(), the batched scheduler, the serving runtime — and produce
 // transcripts BIT-IDENTICAL to their dense references at every thread
 // count.
@@ -22,7 +22,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/kv_cache.hpp"
+#include "core/block_allocator.hpp"
 #include "core/weights.hpp"
 #include "differential.hpp"
 #include "serving/server.hpp"
@@ -240,30 +240,45 @@ TEST(DecodeFormats, ModelHandleValidatesItsArguments) {
 }
 
 // ---------------------------------------------------------------------------
-// KVCache / KVCachePool: independent K and V plane widths.
+// Paged KV: independent K and V plane widths, exact byte accounting.
 // ---------------------------------------------------------------------------
 TEST(DecodeFormats, KvCacheStoresIndependentPlaneWidths) {
-  et::core::KVCache cache(4, 32, 8);
+  // One layer with a condensed 8-float V plane, 4 rows in blocks of 2.
+  et::core::PagedKVPool pool(1, 4, 32, {8},
+                             et::core::PagedKVOptions{.block_tokens = 2});
+  EXPECT_EQ(pool.allocator().bytes_per_block(), 2 * (32 + 8) * sizeof(float));
+  EXPECT_EQ(pool.memory_bytes(), 4 * (32 + 8) * sizeof(float));
+  const std::size_t s = pool.acquire();
+  et::core::PagedKVView& cache = pool.caches(s)[0];
   EXPECT_EQ(cache.k_width(), 32u);
   EXPECT_EQ(cache.v_width(), 8u);
-  EXPECT_EQ(cache.memory_bytes(), 4 * (32 + 8) * sizeof(float));
 
   const std::vector<float> k(32, 1.0f), v(8, 2.0f), wide(32, 3.0f);
   cache.append(k, v);
   EXPECT_EQ(cache.used(), 1u);
-  // A full-width V row no longer fits a condensed plane; the failed
+  EXPECT_EQ(pool.used_bytes(), pool.allocator().bytes_per_block());
+  // A full-width V row does not fit a condensed plane; the failed
   // append must leave both planes untouched.
   EXPECT_THROW(cache.append(k, wide), std::invalid_argument);
   EXPECT_EQ(cache.used(), 1u);
+  EXPECT_EQ(cache.v_prefix()(0, 0), 2.0f);
   while (!cache.full()) cache.append(k, v);
   EXPECT_THROW(cache.append(k, v), std::length_error);
+  EXPECT_EQ(pool.used_bytes(), pool.memory_bytes());
+  pool.release(s);
+  EXPECT_EQ(pool.used_bytes(), 0u);
 }
 
 TEST(DecodeFormats, KvCachePoolSizesEachLayerIndependently) {
-  // Layer 0 condensed to 8 floats per V row, layer 1 full width.
-  et::core::KVCachePool pool(2, 4, 32, {8, 32});
-  EXPECT_EQ(pool.memory_bytes(),
-            2 * (4 * (32 + 8) + 4 * (32 + 32)) * sizeof(float));
+  // Layer 0 condensed to 8 floats per V row, layer 1 full width: one
+  // block spans both layers, so its bytes are Σ_l (k + v_l) per row.
+  et::core::PagedKVPool pool(2, 4, 32, {8, 32},
+                             et::core::PagedKVOptions{.block_tokens = 2});
+  const std::size_t row_bytes = ((32 + 8) + (32 + 32)) * sizeof(float);
+  EXPECT_EQ(pool.allocator().bytes_per_block(), 2 * row_bytes);
+  // Default num_blocks: 2 slots × ceil(4 / 2) blocks.
+  EXPECT_EQ(pool.allocator().num_blocks(), 4u);
+  EXPECT_EQ(pool.memory_bytes(), 2 * 4 * row_bytes);
   const std::size_t slot = pool.acquire();
   ASSERT_EQ(pool.caches(slot).size(), 2u);
   EXPECT_EQ(pool.caches(slot)[0].v_width(), 8u);

@@ -1,17 +1,17 @@
-// The fault-injection framework and the resilient execution layer built
-// on it: injector rules fire deterministically, adaptive_attention walks
-// the flash → otf → partial_otf → fused → modular degradation chain with
-// observable (profiled) fallbacks and bit-identical output, and generate()
-// turns KV-cache exhaustion and mid-step kernel faults into graceful stop
-// reasons instead of exceptions. See docs/robustness.md.
+// The fault-injection framework and the resilient execution layer built on it:
+// injector rules fire deterministically, adaptive_attention walks the flash →
+// otf → partial_otf → fused → modular degradation chain with observable
+// (profiled) fallbacks and bit-identical output, and generate() turns KV-cache
+// exhaustion and mid-step kernel faults into graceful stop reasons instead of
+// exceptions, with every step atomic per slot. See docs/robustness.md.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "core/adaptive.hpp"
-#include "core/kv_cache.hpp"
+#include "core/block_allocator.hpp"
 #include "gpusim/profiler.hpp"
-#include "nn/generation.hpp"
+#include "nn/batched_generation.hpp"
 #include "tensor/random.hpp"
 
 namespace {
@@ -300,10 +300,6 @@ TEST(AttentionConfigValidation, EveryOperatorRejectsBadHeadSplit) {
                std::invalid_argument);
   EXPECT_THROW((void)et::core::flash_cross_attention(ctx, x, x, w, bad),
                std::invalid_argument);
-  et::core::KVCache cache(4, good.d_model);
-  MatrixF row(1, good.d_model);
-  EXPECT_THROW((void)et::core::incremental_attention(ctx, row, w, bad, cache),
-               std::invalid_argument);
 }
 
 TEST(AttentionConfigValidation, RejectsZeroDimsAndBadValidLen) {
@@ -383,7 +379,6 @@ TEST(Generate, StopsCleanlyWhenKvCacheFills) {
   EXPECT_EQ(result.stop_reason, et::nn::StopReason::kKvCacheFull);
   // All three steps that fit the cache produced (and kept) their tokens.
   EXPECT_EQ(result.tokens.size(), 3u);
-  EXPECT_EQ(session.context_length(), 3u);
 }
 
 TEST(Generate, CapacityOneCacheReturnsInsteadOfThrowing) {
@@ -400,82 +395,116 @@ TEST(Generate, CapacityOneCacheReturnsInsteadOfThrowing) {
   EXPECT_EQ(result.tokens.size(), 1u);
 }
 
+/// The request generate() runs, as a scheduler submission.
+et::nn::GenerationRequest tiny_request(std::size_t d_model,
+                                       std::size_t max_new_tokens) {
+  et::nn::GenerationRequest req;
+  req.max_new_tokens = max_new_tokens;
+  req.embed = test_embed(d_model);
+  req.select = test_select();
+  return req;
+}
+
 TEST(Generate, KernelFaultMidGenerationKeepsEarlierTokens) {
   TinyStack s;
+  const et::nn::Model model(&s.layers, s.opt, 16);
   // Count the launches one healthy step costs, to aim the fault at the
   // middle of the third step.
   std::size_t launches_per_step = 0;
   {
     et::gpusim::Device dev;
     et::core::ExecContext ctx(dev);
-    et::nn::GenerationSession session(et::nn::Model(&s.layers, s.opt, 16));
-    (void)session.step(ctx, test_embed(s.model.d_model)(0, 0));
+    et::nn::GenerationSession session(model);
+    (void)et::nn::generate(ctx, session, 0, 1, test_embed(s.model.d_model),
+                           test_select());
     launches_per_step = dev.launch_count();
   }
+  const std::size_t target = 2 * launches_per_step + launches_per_step / 2;
 
   et::gpusim::Device dev;
   et::core::ExecContext ctx(dev);
-  et::nn::GenerationSession session(et::nn::Model(&s.layers, s.opt, 16));
-  dev.fault_injector().arm_nth_launch(2 * launches_per_step +
-                                      launches_per_step / 2);
+  et::nn::GenerationSession session(model);
+  dev.fault_injector().arm_nth_launch(target);
   const auto result = et::nn::generate(ctx, session, 0, 10,
                                        test_embed(s.model.d_model),
                                        test_select());
   EXPECT_EQ(result.stop_reason, et::nn::StopReason::kKernelFault);
   EXPECT_FALSE(result.fault_kernel.empty());
   EXPECT_EQ(result.tokens.size(), 2u) << "tokens before the fault survive";
-  // The faulted step rolled its cache appends back: two clean steps.
-  EXPECT_EQ(session.context_length(), 2u);
+
+  // The one-slot scheduler generate() runs: the faulted step is not
+  // retried, and retiring the slot hands every KV block back.
+  et::gpusim::Device sched_dev;
+  et::core::ExecContext sched_ctx(sched_dev);
+  et::nn::BatchedGenerationScheduler sched(model, /*max_batch=*/1);
+  const std::size_t id = sched.submit(tiny_request(s.model.d_model, 10));
+  sched_dev.fault_injector().arm_nth_launch(target);
+  (void)sched.run(sched_ctx);
+  EXPECT_EQ(sched.result(id).tokens, result.tokens);
+  EXPECT_EQ(sched.result(id).stop_reason, et::nn::StopReason::kKernelFault);
+  EXPECT_EQ(sched.per_slot_fallback_ticks(), 0u);
+  EXPECT_EQ(sched.pool().used_bytes(), 0u);
 }
 
 TEST(GenerationSession, StepIsAtomicUnderFaults) {
+  // A step is atomic per slot: a shared-kernel fault partway through
+  // layer 1 of a two-slot tick — after layer 0 AND layer 1 have appended
+  // their K/V rows — rolls every slot back to its pre-tick length, and
+  // the tick's per-slot retry then reproduces the clean run bit for bit.
+  // A missing rollback would leave a duplicate row in the caches and
+  // change every later hidden state.
   TinyStack s;
-  const auto embed = test_embed(s.model.d_model);
+  const et::nn::Model model(&s.layers, s.opt, 8);
+  const auto run = [&](et::gpusim::Device& dev,
+                       std::vector<std::vector<float>>* hidden) {
+    et::core::ExecContext ctx(dev);
+    et::nn::BatchedGenerationScheduler sched(model, /*max_batch=*/2);
+    for (std::size_t i = 0; i < 2; ++i) {
+      auto req = tiny_request(s.model.d_model, 4);
+      req.first_token = static_cast<std::int32_t>(i);
+      req.select = [&hidden](const MatrixF& h) {
+        hidden->emplace_back(h.flat().begin(), h.flat().end());
+        return static_cast<std::int32_t>(h(0, 0) > 0.0f ? 1 : 2);
+      };
+      (void)sched.submit(std::move(req));
+    }
+    auto results = sched.run(ctx);
+    EXPECT_EQ(sched.pool().used_bytes(), 0u);
+    return std::make_pair(std::move(results), sched.per_slot_fallback_ticks());
+  };
 
-  // Reference: two clean steps.
-  et::gpusim::Device ref_dev;
-  et::core::ExecContext ref_dev_ctx(ref_dev);
-  et::nn::GenerationSession ref(et::nn::Model(&s.layers, s.opt, 8));
-  (void)ref.step(ref_dev_ctx, embed(0, 0));
-  const MatrixF want = ref.step(ref_dev_ctx, embed(1, 1));
+  et::gpusim::Device clean_dev;
+  std::vector<std::vector<float>> want;
+  const auto clean = run(clean_dev, &want);
+  ASSERT_EQ(clean.second, 0u);
 
-  // Launches one healthy step costs, to aim a fault inside layer 1.
-  std::size_t launches_per_step = 0;
-  {
-    et::gpusim::Device probe;
-    et::core::ExecContext probe_ctx(probe);
-    et::nn::GenerationSession scratch(et::nn::Model(&s.layers, s.opt, 8));
-    (void)scratch.step(probe_ctx, embed(0, 0));
-    launches_per_step = probe.launch_count();
+  // The second tick's layer-1 ff1 launch, located in the clean history
+  // (faulted launches never reach it, so indices line up).
+  std::vector<std::size_t> ff1;
+  const auto& history = clean_dev.history();
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    if (history[i].name.starts_with("gen_ff1")) ff1.push_back(i);
   }
-  const std::size_t per_layer = launches_per_step / s.layers.size();
+  ASSERT_GE(ff1.size(), 4u);
 
   et::gpusim::Device dev;
-  et::core::ExecContext ctx(dev);
-  et::nn::GenerationSession session(et::nn::Model(&s.layers, s.opt, 8));
-  (void)session.step(ctx, embed(0, 0));
-  ASSERT_EQ(session.context_length(), 1u);
-
-  // Fault partway through layer 1 of the next step: layer 0 has already
-  // appended its K/V row when the fault fires, so a missing rollback
-  // would leave the caches at inconsistent lengths.
-  dev.fault_injector().arm_nth_launch(per_layer + 1);
-  EXPECT_THROW((void)session.step(ctx, embed(1, 1)), KernelFault);
-  EXPECT_EQ(session.context_length(), 1u)
-      << "failed step must roll back every layer's cache";
-
-  // Retrying the same step now succeeds and matches the clean run bit for
-  // bit — the failed attempt left no trace in the session.
-  const MatrixF got = session.step(ctx, embed(1, 1));
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got.flat()[i], want.flat()[i]);
+  dev.fault_injector().arm_nth_launch(ff1[3]);
+  std::vector<std::vector<float>> got;
+  const auto faulted = run(dev, &got);
+  EXPECT_EQ(dev.fault_injector().faults_injected(), 1u);
+  EXPECT_EQ(faulted.second, 1u) << "the faulted tick retries per slot";
+  ASSERT_EQ(faulted.first.size(), clean.first.size());
+  for (std::size_t i = 0; i < clean.first.size(); ++i) {
+    EXPECT_EQ(faulted.first[i].tokens, clean.first[i].tokens);
+    EXPECT_EQ(faulted.first[i].stop_reason, et::nn::StopReason::kMaxTokens);
   }
-  EXPECT_EQ(session.context_length(), 2u);
+  EXPECT_EQ(got, want) << "the failed attempt left no trace in the caches";
 }
 
 TEST(KVCache, TruncateRollsBackAppends) {
-  et::core::KVCache cache(4, 2);
+  et::core::PagedKVPool pool(1, 4, 2, {2},
+                             et::core::PagedKVOptions{.block_tokens = 2});
+  et::core::PagedKVView& cache = pool.caches(pool.acquire())[0];
   const float r[] = {1, 2};
   cache.append(r, r);
   cache.append(r, r);

@@ -1,20 +1,24 @@
-// KV-cached autoregressive inference: the incremental path must equal the
-// full causal forward position by position, and its kernel profile must
-// show the generation regime (context-linear attention cost, weight-bound
-// linears).
+// KV-cached autoregressive inference: generate() (the batch-1 run of the
+// decode engine) must equal the full causal forward position by position
+// for every weight layout, and its kernel profile must show the
+// generation regime (context-linear attention cost, weight-bound
+// linears). Also the per-layer paged KV view's append contract.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string_view>
 
-#include "core/kv_cache.hpp"
-#include "nn/generation.hpp"
+#include "core/block_allocator.hpp"
+#include "nn/batched_generation.hpp"
 #include "pruning/criteria.hpp"
+#include "sparse/formats.hpp"
 #include "tensor/compare.hpp"
 #include "tensor/random.hpp"
 
 namespace {
 
+using et::core::PagedKVOptions;
+using et::core::PagedKVPool;
 using et::tensor::MatrixF;
 
 et::nn::ModelConfig tiny_model() {
@@ -32,24 +36,68 @@ MatrixF row_of(const MatrixF& m, std::size_t r) {
   return out;
 }
 
+/// Embeds position p as row p of `x`, whatever the token: the decode
+/// then sees exactly the rows the full forward does.
+et::nn::EmbedFn position_embed(const MatrixF& x) {
+  return [&x](std::int32_t, std::size_t pos) { return row_of(x, pos); };
+}
+
+/// Records every hidden state select() is handed; always picks token 0.
+et::nn::SelectFn recording_select(std::vector<MatrixF>* hidden) {
+  return [hidden](const MatrixF& h) {
+    hidden->push_back(h);
+    return std::int32_t{0};
+  };
+}
+
+/// One generate() over `x.rows()` positions with a position-keyed embed;
+/// returns the hidden state of every position, in order.
+std::vector<MatrixF> generate_hidden(et::core::ExecContext& ctx,
+                                     const et::nn::Model& model,
+                                     const MatrixF& x) {
+  std::vector<MatrixF> hidden;
+  et::nn::GenerationSession session(model);
+  const auto r = et::nn::generate(ctx, session, 0, x.rows(),
+                                  position_embed(x),
+                                  recording_select(&hidden));
+  EXPECT_EQ(r.stop_reason, et::nn::StopReason::kMaxTokens);
+  return hidden;
+}
+
+/// A one-layer KV view for the append-contract tests: `capacity` rows of
+/// k_width K and v_width V, in blocks of 2 so appends cross a block.
+struct OneCache {
+  PagedKVPool pool;
+  et::core::PagedKVView& cache;
+  OneCache(std::size_t capacity, std::size_t k_width, std::size_t v_width)
+      : pool(1, capacity, k_width, {v_width},
+             PagedKVOptions{.block_tokens = 2}),
+        cache(pool.caches(pool.acquire())[0]) {}
+};
+
 TEST(KVCache, AppendAndPrefix) {
-  et::core::KVCache cache(4, 3);
+  OneCache one(4, 3, 3);
+  auto& cache = one.cache;
   EXPECT_EQ(cache.used(), 0u);
   const float k1[] = {1, 2, 3};
   const float v1[] = {4, 5, 6};
   cache.append(k1, v1);
   cache.append(v1, k1);
-  EXPECT_EQ(cache.used(), 2u);
+  cache.append(k1, v1);  // third row lands in the second block
+  EXPECT_EQ(cache.used(), 3u);
   const auto k = cache.k_prefix();
-  EXPECT_EQ(k.rows(), 2u);
+  EXPECT_EQ(k.rows(), 3u);
   EXPECT_EQ(k(0, 2), 3.0f);
   EXPECT_EQ(k(1, 0), 4.0f);
-  cache.reset();
+  EXPECT_EQ(k(2, 1), 2.0f);
+  EXPECT_EQ(cache.v_prefix()(1, 2), 3.0f);
+  cache.truncate(0);
   EXPECT_EQ(cache.used(), 0u);
 }
 
 TEST(KVCache, ThrowsWhenFull) {
-  et::core::KVCache cache(1, 2);
+  OneCache one(1, 2, 2);
+  auto& cache = one.cache;
   const float r[] = {1, 2};
   cache.append(r, r);
   EXPECT_TRUE(cache.full());
@@ -59,7 +107,8 @@ TEST(KVCache, ThrowsWhenFull) {
 TEST(KVCache, RejectedAppendLeavesBothPlanesUntouched) {
   // Regression: every validation must precede the first write, or a
   // rejected append leaves K one row longer than V (or a row half-set).
-  et::core::KVCache cache(2, 3);
+  OneCache one(2, 3, 3);
+  auto& cache = one.cache;
   const float k1[] = {1, 2, 3};
   const float v1[] = {4, 5, 6};
   const float narrow[] = {7, 8};
@@ -85,8 +134,8 @@ TEST(KVCache, RejectedAppendLeavesBothPlanesUntouched) {
 }
 
 TEST(KVCachePool, RecyclesSlotsAndValidatesRelease) {
-  et::core::KVCachePool pool(2, /*num_layers=*/3, /*capacity=*/4,
-                             /*d_model=*/3);
+  PagedKVPool pool(2, /*max_context=*/4, /*k_width=*/3, {3, 3, 3},
+                   PagedKVOptions{.block_tokens = 2});
   EXPECT_EQ(pool.num_slots(), 2u);
   EXPECT_EQ(pool.free_slots(), 2u);
 
@@ -104,63 +153,51 @@ TEST(KVCachePool, RecyclesSlotsAndValidatesRelease) {
   EXPECT_THROW(pool.release(a), std::invalid_argument);
   EXPECT_THROW(pool.release(99), std::invalid_argument);
 
-  // Reacquiring hands back reset caches — stale context must never leak
+  // Reacquiring hands back empty caches — stale context must never leak
   // between sequences.
   const std::size_t again = pool.acquire();
   EXPECT_EQ(again, a);
   EXPECT_EQ(pool.caches(again)[0].used(), 0u);
+  EXPECT_TRUE(pool.slot(again).table().empty());
 }
 
-TEST(IncrementalAttention, MatchesCausalAttentionPerPosition) {
-  et::core::AttentionConfig cfg;
-  cfg.seq_len = 12;
-  cfg.d_model = 32;
-  cfg.num_heads = 2;
-  cfg.precision = et::numeric::Precision::kFp32;
-  cfg.causal_mask = true;
-  const auto w = et::core::make_dense_weights(cfg, 1);
-  MatrixF x(12, 32);
-  et::tensor::fill_normal(x, 2);
-
-  et::gpusim::Device dev;
-  et::core::ExecContext ctx(dev);
-  const MatrixF full = et::core::otf_attention(ctx, x, w, cfg);
-
-  et::core::KVCache cache(12, 32);
-  for (std::size_t t = 0; t < 12; ++t) {
-    const MatrixF step =
-        et::core::incremental_attention(ctx, row_of(x, t), w, cfg, cache);
-    for (std::size_t c = 0; c < 32; ++c) {
-      ASSERT_NEAR(step(0, c), full(t, c), 1e-4f)
-          << "position " << t << " col " << c;
+/// The decoder stacks the per-position oracle runs: dense, pre-computed
+/// W_VO (§3.1), condensed row-pruned W_V and tile-pruned W_Q (§4.3).
+std::vector<std::pair<std::string, std::vector<et::nn::EncoderWeights>>>
+layout_stacks(const et::nn::ModelConfig& model) {
+  std::vector<et::nn::EncoderWeights> dense;
+  for (std::size_t l = 0; l < model.num_layers; ++l) {
+    dense.push_back(et::nn::make_dense_encoder_weights(model, 10 + l));
+  }
+  const auto dense_of = [](const et::sparse::AnyWeight& w) {
+    return std::get<et::sparse::DenseWeight>(w).matrix();
+  };
+  auto folded = dense, condensed = dense, tiled = dense;
+  const std::size_t d_k = model.d_model / model.num_heads;
+  std::vector<std::uint32_t> kept;  // first half of every head's W_V rows
+  for (std::size_t h = 0; h < model.num_heads; ++h) {
+    for (std::size_t r = 0; r < d_k / 2; ++r) {
+      kept.push_back(static_cast<std::uint32_t>(h * d_k + r));
     }
   }
-}
-
-TEST(IncrementalAttention, RejectsPrecomputedWeights) {
-  et::core::AttentionConfig cfg;
-  cfg.seq_len = 4;
-  cfg.d_model = 32;
-  cfg.num_heads = 2;
-  auto w = et::core::make_dense_weights(cfg, 3);
-  const auto& wv = std::get<et::sparse::DenseWeight>(w.wv).matrix();
-  const auto& wo = std::get<et::sparse::DenseWeight>(w.wo).matrix();
-  w.vo = et::core::precompute_vo(wv, wo, cfg.num_heads);
-  et::core::KVCache cache(4, 32);
-  et::gpusim::Device dev;
-  et::core::ExecContext ctx(dev);
-  MatrixF x(1, 32);
-  EXPECT_THROW(
-      (void)et::core::incremental_attention(ctx, x, w, cfg, cache),
-      std::invalid_argument);
+  for (std::size_t l = 0; l < model.num_layers; ++l) {
+    const MatrixF wv = dense_of(dense[l].attn.wv);
+    folded[l].attn.vo = et::core::precompute_vo(
+        wv, dense_of(dense[l].attn.wo), model.num_heads);
+    condensed[l].attn.wv =
+        et::sparse::RowPrunedWeight::from_kept_rows(wv, kept);
+    const MatrixF wq = dense_of(dense[l].attn.wq);
+    tiled[l].attn.wq = et::sparse::make_weight(
+        et::sparse::PruneMethod::kTile, wq, et::pruning::tile_mask(wq, 0.5));
+  }
+  return {{"dense", std::move(dense)},
+          {"precomputed", std::move(folded)},
+          {"row-pruned condensed", std::move(condensed)},
+          {"tile-pruned", std::move(tiled)}};
 }
 
 TEST(GenerationSession, MatchesFullCausalForwardPerPosition) {
   const auto model = tiny_model();
-  std::vector<et::nn::EncoderWeights> layers;
-  for (std::size_t l = 0; l < model.num_layers; ++l) {
-    layers.push_back(et::nn::make_dense_encoder_weights(model, 10 + l));
-  }
   MatrixF x(10, model.d_model);
   et::tensor::fill_normal(x, 4, 0.0f, 0.5f);
 
@@ -168,23 +205,27 @@ TEST(GenerationSession, MatchesFullCausalForwardPerPosition) {
                                  /*causal=*/true);
   opt.attn.precision = et::numeric::Precision::kFp32;
 
-  et::gpusim::Device dev;
-  et::core::ExecContext ctx(dev);
-  const MatrixF full = et::nn::encoder_stack_forward(ctx, x, layers, opt);
-
-  et::nn::GenerationSession session(
-      et::nn::Model(&layers, opt, /*max_context=*/16));
-  for (std::size_t t = 0; t < x.rows(); ++t) {
-    const MatrixF h = session.step(ctx, row_of(x, t));
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      ASSERT_NEAR(h(0, c), full(t, c), 2e-3f)
-          << "position " << t << " col " << c;
+  for (const auto& [name, layers] : layout_stacks(model)) {
+    SCOPED_TRACE(name);
+    et::gpusim::Device dev;
+    et::core::ExecContext ctx(dev);
+    const MatrixF full = et::nn::encoder_stack_forward(ctx, x, layers, opt);
+    const auto hidden = generate_hidden(
+        ctx, et::nn::Model(&layers, opt, /*max_context=*/16), x);
+    ASSERT_EQ(hidden.size(), x.rows());
+    for (std::size_t t = 0; t < x.rows(); ++t) {
+      for (std::size_t c = 0; c < x.cols(); ++c) {
+        ASSERT_NEAR(hidden[t](0, c), full(t, c), 2e-3f)
+            << "position " << t << " col " << c;
+      }
     }
   }
-  EXPECT_EQ(session.context_length(), 10u);
 }
 
 TEST(GenerationSession, PrimeEqualsSteps) {
+  // Prefilling a prompt (positions 0..n-2 emit nothing) leaves the same
+  // state as decoding those positions: the last prompt position's hidden
+  // state is bit-identical either way.
   const auto model = tiny_model();
   std::vector<et::nn::EncoderWeights> layers = {
       et::nn::make_dense_encoder_weights(model, 20)};
@@ -196,37 +237,54 @@ TEST(GenerationSession, PrimeEqualsSteps) {
   et::gpusim::Device dev;
   et::core::ExecContext ctx(dev);
   const et::nn::Model model_handle(&layers, opt, 8);
-  et::nn::GenerationSession a(model_handle), b(model_handle);
-  const MatrixF via_prime = a.prime(ctx, prompt);
-  MatrixF via_steps;
-  for (std::size_t t = 0; t < prompt.rows(); ++t) {
-    via_steps = b.step(ctx, row_of(prompt, t));
-  }
-  EXPECT_TRUE(allclose(via_prime, via_steps, 1e-6, 1e-6));
+  et::nn::GenerationSession session(model_handle);
+  std::vector<MatrixF> primed;
+  et::nn::DecodeParams params;
+  params.prompt_tokens = {1, 2, 3, 4, 5, 6};
+  params.max_new_tokens = 1;
+  params.embed = position_embed(prompt);
+  params.select = recording_select(&primed);
+  (void)et::nn::generate(ctx, session, params);
+  ASSERT_EQ(primed.size(), 1u);
+
+  const auto stepped = generate_hidden(ctx, model_handle, prompt);
+  ASSERT_EQ(stepped.size(), prompt.rows());
+  EXPECT_TRUE(allclose(primed[0], stepped.back(), 0.0, 0.0));
 }
 
 TEST(GenerationSession, StepCostGrowsLinearlyWithContext) {
   // The attention kernel's loads scale with the cache length; the linears
-  // stay constant — the classic generation cost profile.
+  // stay constant — the classic generation cost profile. One position per
+  // tick of the one-slot engine generate() runs, each on a fresh
+  // traffic-only device.
   const auto model = tiny_model();
   std::vector<et::nn::EncoderWeights> layers = {
       et::nn::make_dense_encoder_weights(model, 21)};
   auto opt = et::nn::options_for(et::nn::Pipeline::kET, model, 1, true);
 
-  et::nn::GenerationSession session(et::nn::Model(&layers, opt, 512));
-  MatrixF row(1, model.d_model);
+  et::nn::BatchedGenerationScheduler sched(et::nn::Model(&layers, opt, 512),
+                                           /*max_batch=*/1);
+  et::nn::GenerationRequest req;
+  req.max_new_tokens = 400;
+  req.embed = [&](std::int32_t, std::size_t) {
+    return MatrixF(1, model.d_model);
+  };
+  req.select = [](const MatrixF&) { return std::int32_t{0}; };
+  (void)sched.submit(std::move(req));
 
-  double early = 0.0, late = 0.0;
+  double early = 0.0, late = 0.0, early_ff = 0.0, late_ff = 0.0;
   for (int t = 0; t < 400; ++t) {
     et::gpusim::Device dev;
     et::core::ExecContext ctx(dev);
     dev.set_traffic_only(true);
-    (void)session.step(ctx, row);
+    sched.tick(ctx);
     const double us = dev.time_us_matching("incremental_otf_attention");
-    if (t == 10) early = us;
-    if (t == 390) late = us;
+    const double ff = dev.time_us_matching("gen_ff1");
+    if (t == 10) early = us, early_ff = ff;
+    if (t == 390) late = us, late_ff = ff;
   }
   EXPECT_GT(late, early) << "attention cost must grow with context";
+  EXPECT_EQ(late_ff, early_ff) << "linear cost must not";
 }
 
 TEST(GenerationSession, WorksWithPrunedWeights) {
@@ -241,11 +299,12 @@ TEST(GenerationSession, WorksWithPrunedWeights) {
 
   et::gpusim::Device dev;
   et::core::ExecContext ctx(dev);
-  et::nn::GenerationSession session(et::nn::Model(&layers, opt, 8));
-  MatrixF row(1, model.d_model);
-  et::tensor::fill_normal(row, 23, 0.0f, 0.5f);
-  for (int t = 0; t < 4; ++t) {
-    const MatrixF h = session.step(ctx, row);
+  MatrixF rows(4, model.d_model);
+  et::tensor::fill_normal(rows, 23, 0.0f, 0.5f);
+  const auto hidden =
+      generate_hidden(ctx, et::nn::Model(&layers, opt, 8), rows);
+  ASSERT_EQ(hidden.size(), 4u);
+  for (const MatrixF& h : hidden) {
     for (float v : h.flat()) ASSERT_TRUE(std::isfinite(v));
   }
   EXPECT_GT(dev.time_us_matching("bcsr"), 0.0);
@@ -275,7 +334,6 @@ TEST(Generate, StopsAtEosTokenAndKeepsTheEmission) {
   EXPECT_EQ(r.tokens[0], 5);
 
   // A negative eos_token (the default) disables the check entirely.
-  session.reset();
   const auto full = et::nn::generate(ctx, session, 1, 6, embed, select);
   EXPECT_EQ(full.stop_reason, et::nn::StopReason::kMaxTokens);
   EXPECT_EQ(full.tokens.size(), 6u);

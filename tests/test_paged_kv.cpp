@@ -12,11 +12,11 @@
 //      refcount ≥ 2, free-list ∩ live = ∅, byte accounting == Σ resident
 //      blocks — plus a shadow content model proving gathers never read a
 //      row CoW should have protected;
-//   3. oracles against the contiguous reference — gathers across block
-//      sizes {1, 3, 16} and the PR-5 dense/condensed/folded V-plane
-//      widths, and full decode transcripts through the batched scheduler
-//      (prompts, sharing on/off, OOM-as-kv_cache_full, fault storms at a
-//      block boundary) bit-identical to the sequential path.
+//   3. oracles — gathers across block sizes {1, 3, 16} and the
+//      dense/condensed/folded V-plane widths against a test-local
+//      contiguous row store, and full decode transcripts through the
+//      batched scheduler (prompts, sharing on/off, OOM-as-kv_cache_full,
+//      fault storms at a block boundary) bit-identical to batch-1 runs.
 //
 // Content checks are BIT-exact: a shared prefix row is only sound if the
 // producer's bytes equal what the consumer would have written, so any
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "core/block_allocator.hpp"
-#include "core/kv_cache.hpp"
 #include "core/prefix_trie.hpp"
 #include "differential.hpp"
 
@@ -42,10 +41,10 @@ namespace {
 using et::core::BlockAllocator;
 using et::core::BlockId;
 using et::core::kNoPrefixGroup;
-using et::core::PagedKVCache;
 using et::core::PagedKVOptions;
 using et::core::PagedKVPool;
 using et::core::PagedKVSlot;
+using et::core::PagedKVView;
 using et::core::PrefixTrie;
 using et::diff::splitmix64;
 using et::diff::unit_float;
@@ -234,7 +233,7 @@ bool append_position(PagedKVPool& pool, std::size_t s, std::uint64_t key) {
 TEST(PagedKVPool, AppendContractMatchesContiguousCache) {
   PagedKVPool pool(1, 4, kKWidth, {4}, PagedKVOptions{.block_tokens = 2});
   const std::size_t s = pool.acquire();
-  PagedKVCache& cache = pool.caches(s)[0];
+  PagedKVView& cache = pool.caches(s)[0];
   std::vector<float> k(kKWidth, 1.0f), v(4, 2.0f), bad(3, 0.0f);
   EXPECT_THROW(cache.append(k, bad), std::invalid_argument);
   for (int i = 0; i < 4; ++i) cache.append(k, v);
@@ -247,14 +246,22 @@ TEST(PagedKVPool, AppendContractMatchesContiguousCache) {
 }
 
 TEST(PagedKVPool, ContiguousModeMatchesKVCachePoolFootprintAndDisablesSharing) {
+  // One block spanning max_context is the contiguous layout: each slot
+  // holds exactly max_context rows of every layer's K and V planes, and
+  // whole-context blocks can never share a proper prefix.
   const std::vector<std::size_t> vw{16, 4, 8};
-  const et::core::KVCachePool reference(3, 8, kKWidth, vw);
   PagedKVPool paged(3, 8, kKWidth, vw,
-                    PagedKVOptions{.block_tokens = 0,  // contiguous layout
+                    PagedKVOptions{.block_tokens = 8,
                                    .enable_prefix_sharing = true});
-  EXPECT_EQ(paged.block_tokens(), 8u);
+  EXPECT_EQ(paged.allocator().num_blocks(), 3u);
   EXPECT_FALSE(paged.sharing_enabled());
-  EXPECT_EQ(paged.memory_bytes(), reference.memory_bytes());
+  std::size_t row_bytes = 0;
+  for (const std::size_t w : vw) row_bytes += (kKWidth + w) * sizeof(float);
+  EXPECT_EQ(paged.memory_bytes(), 3 * 8 * row_bytes);
+  // block_tokens is a row count; zero is rejected, not a mode.
+  EXPECT_THROW(
+      PagedKVPool(3, 8, kKWidth, vw, PagedKVOptions{.block_tokens = 0}),
+      std::invalid_argument);
 }
 
 TEST(PagedKVPool, PrefixSharingAliasesBlocksAndCountsBytesOnce) {
@@ -379,8 +386,9 @@ TEST(PagedKVPool, RollbackNeverTrimsSeededSharedBlocks) {
 }
 
 // ---------------------------------------------------------------------------
-// Gather oracle: paged k/v_prefix == contiguous KVCache, across block
-// sizes and the PR-5 V-plane widths.
+// Gather oracle: paged k/v_prefix == a contiguous row store holding the
+// same appends, across block sizes and the dense/condensed/folded
+// V-plane widths.
 // ---------------------------------------------------------------------------
 
 TEST(PagedGatherOracle, PrefixGathersMatchContiguousAcrossBlockSizes) {
@@ -390,8 +398,9 @@ TEST(PagedGatherOracle, PrefixGathersMatchContiguousAcrossBlockSizes) {
                                std::size_t{16}}) {
     SCOPED_TRACE("block_tokens=" + std::to_string(bt));
     PagedKVPool pool(2, kCtx, kKWidth, vw, PagedKVOptions{.block_tokens = bt});
-    std::vector<et::core::KVCache> reference;
-    for (const std::size_t w : vw) reference.emplace_back(kCtx, kKWidth, w);
+    // reference[l] = every (k, v) row appended to layer l, in order.
+    std::vector<std::vector<std::pair<std::vector<float>, std::vector<float>>>>
+        reference(vw.size());
     const std::size_t s = pool.acquire();
     for (std::size_t p = 0; p < kCtx; ++p) {
       PagedKVSlot& slot = pool.slot(s);
@@ -402,21 +411,22 @@ TEST(PagedGatherOracle, PrefixGathersMatchContiguousAcrossBlockSizes) {
         fill_row(k, gen_key(7, p), 1000 + l);
         fill_row(v, gen_key(7, p), 2000 + l);
         slot.append(l, k, v);
-        reference[l].append(k, v);
+        reference[l].emplace_back(k, v);
       }
     }
     for (std::size_t l = 0; l < vw.size(); ++l) {
       const auto pk = pool.slot(s).k_prefix(l);
-      const auto rk = reference[l].k_prefix();
       const auto pv = pool.slot(s).v_prefix(l);
-      const auto rv = reference[l].v_prefix();
-      ASSERT_EQ(pk.rows(), rk.rows());
-      for (std::size_t r = 0; r < rk.rows(); ++r) {
-        for (std::size_t c = 0; c < rk.cols(); ++c) {
-          ASSERT_EQ(pk(r, c), rk(r, c)) << "layer " << l << " row " << r;
+      ASSERT_EQ(pk.rows(), kCtx);
+      ASSERT_EQ(pv.rows(), kCtx);
+      ASSERT_EQ(pv.cols(), vw[l]);
+      for (std::size_t r = 0; r < kCtx; ++r) {
+        const auto& [rk, rv] = reference[l][r];
+        for (std::size_t c = 0; c < kKWidth; ++c) {
+          ASSERT_EQ(pk(r, c), rk[c]) << "layer " << l << " row " << r;
         }
-        for (std::size_t c = 0; c < rv.cols(); ++c) {
-          ASSERT_EQ(pv(r, c), rv(r, c)) << "layer " << l << " row " << r;
+        for (std::size_t c = 0; c < vw[l]; ++c) {
+          ASSERT_EQ(pv(r, c), rv[c]) << "layer " << l << " row " << r;
         }
       }
     }

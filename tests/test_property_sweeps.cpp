@@ -5,9 +5,9 @@
 #include <random>
 
 #include "core/attention.hpp"
-#include "core/kv_cache.hpp"
 #include "gpusim/device.hpp"
 #include "kernels/gemm.hpp"
+#include "nn/generation.hpp"
 #include "nn/reference.hpp"
 #include "numeric/half.hpp"
 #include "pruning/criteria.hpp"
@@ -169,10 +169,10 @@ TEST_P(SeedSweep, PrecomputeIdentityAcrossSeeds) {
 
 TEST_P(SeedSweep, IncrementalPrefixDecodeMatchesFullOtf) {
   // Prefix-decode equivalence over random shapes: running a causal
-  // sequence through the KV-cached incremental path one position at a
-  // time must reproduce the full-sequence OTF forward position by
-  // position — the invariant the generation stack (and its batched
-  // scheduler) is built on.
+  // sequence through generate() — the KV-cached decode engine, one
+  // position per step — must reproduce the full-sequence causal encoder
+  // forward position by position, the invariant the generation stack is
+  // built on.
   std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 17);
   const std::size_t heads =
       std::uniform_int_distribution<std::size_t>(0, 2)(rng) + 1;  // 1..3
@@ -182,32 +182,44 @@ TEST_P(SeedSweep, IncrementalPrefixDecodeMatchesFullOtf) {
   const std::size_t seq =
       std::uniform_int_distribution<std::size_t>(2, 14)(rng);
 
-  et::core::AttentionConfig cfg;
-  cfg.seq_len = seq;
-  cfg.d_model = d_model;
-  cfg.num_heads = heads;
-  cfg.precision = et::numeric::Precision::kFp32;
-  cfg.causal_mask = true;
-  const auto w =
-      et::core::make_dense_weights(cfg, static_cast<std::uint64_t>(GetParam()));
+  et::nn::ModelConfig model;
+  model.num_layers = 1;
+  model.d_model = d_model;
+  model.num_heads = heads;
+  model.d_ff = 2 * d_model;
+  const std::vector<et::nn::EncoderWeights> layers = {
+      et::nn::make_dense_encoder_weights(
+          model, static_cast<std::uint64_t>(GetParam()))};
+  auto opt = et::nn::options_for(et::nn::Pipeline::kET, model, seq,
+                                 /*causal=*/true);
+  opt.attn.precision = et::numeric::Precision::kFp32;
   MatrixF x(seq, d_model);
   et::tensor::fill_normal(x, static_cast<std::uint64_t>(GetParam()) + 200);
 
   et::gpusim::Device dev;
   et::core::ExecContext ctx(dev);
-  const MatrixF full = et::core::otf_attention(ctx, x, w, cfg);
+  const MatrixF full = et::nn::encoder_stack_forward(ctx, x, layers, opt);
 
-  et::core::KVCache cache(seq, d_model);
+  std::vector<MatrixF> hidden;
+  et::nn::GenerationSession session(et::nn::Model(&layers, opt, seq));
+  const auto result = et::nn::generate(
+      ctx, session, 0, seq,
+      [&x](std::int32_t, std::size_t pos) {
+        return et::tensor::slice_rows(x, pos, 1);
+      },
+      [&hidden](const MatrixF& h) {
+        hidden.push_back(h);
+        return std::int32_t{0};
+      });
+  ASSERT_EQ(hidden.size(), seq);
   for (std::size_t t = 0; t < seq; ++t) {
-    const MatrixF step = et::core::incremental_attention(
-        ctx, et::tensor::slice_rows(x, t, 1), w, cfg, cache);
     for (std::size_t c = 0; c < d_model; ++c) {
-      ASSERT_NEAR(step(0, c), full(t, c), 1e-4f)
+      ASSERT_NEAR(hidden[t](0, c), full(t, c), 1e-4f)
           << "heads " << heads << " d_model " << d_model << " seq " << seq
           << " position " << t << " col " << c;
     }
   }
-  EXPECT_EQ(cache.used(), seq);
+  EXPECT_EQ(result.stop_reason, et::nn::StopReason::kMaxTokens);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep, ::testing::Range(1, 11));

@@ -137,6 +137,15 @@ Projections project_cross(ExecContext& ctx, const tensor::MatrixF& x,
   return pr;
 }
 
+/// Charge `matmul` FLOPs to the unit the policy runs matrix products on and
+/// `pointwise` FLOPs to the general cores (numeric::op_charge).
+void charge(gpusim::Launch& launch, Precision p, std::uint64_t matmul,
+            std::uint64_t pointwise = 0) {
+  const numeric::OpCharge ops = numeric::op_charge(p, matmul, pointwise);
+  launch.tensor_ops(ops.tensor_ops);
+  launch.fp_ops(ops.fp_ops);
+}
+
 /// Record a batched per-head GEMM kernel (one launch covering all heads),
 /// e.g. torch.bmm or the TensorRT batched-GEMM step. Loads both operands
 /// once, stores the result once. `score_elems` tags how many of those
@@ -155,11 +164,7 @@ void record_batched_gemm(gpusim::Device& dev, std::string name,
   launch.load_bytes((load_elems_a + load_elems_b) * sb);
   launch.store_bytes(store_elems * sb);
   launch.score_bytes(static_cast<std::uint64_t>(score_elems) * sb);
-  if (p == Precision::kFp32) {
-    launch.fp_ops(flops);
-  } else {
-    launch.tensor_ops(flops);
-  }
+  charge(launch, p, flops);
 }
 
 /// Record a kernel over the batched per-head score matrix (scale / mask /
@@ -187,12 +192,94 @@ void record_score_stream(gpusim::Device& dev, std::string name,
   launch.fp_ops(flops);
 }
 
-tensor::MatrixF output_linear(ExecContext& ctx, const tensor::MatrixF& z,
-                              const AttentionWeights& w,
-                              const AttentionConfig& cfg) {
+/// The tail every operator shares: the attention math (skipped on a
+/// traffic-only device, where only the launches matter), then the output
+/// linear unless the pre-computed W_VO already folded it in (Eq. 5).
+tensor::MatrixF attend(ExecContext& ctx, const Projections& pr,
+                       const AttentionWeights& w, const AttentionConfig& cfg,
+                       bool flash = false) {
+  const auto math =
+      flash ? detail::flash_attention_math : detail::attention_math;
+  tensor::MatrixF z =
+      ctx.device().traffic_only()
+          ? tensor::MatrixF(cfg.seq_len, cfg.d_model)
+          : math(pr.q, pr.k, pr.ctx, pr.vo, pr.v_kept_ptr(), cfg, &ctx.pool());
+  if (pr.vo != nullptr) return z;
   kernels::LinearOptions opt;
   opt.precision = cfg.precision;
   return kernels::linear(ctx, z, w.wo, opt, "out_linear").y;
+}
+
+/// The two single-kernel operators: E.T.'s on-the-fly kernel (16-row
+/// tiles, kv-wide Eq. 6 score rows) and the streaming flash kernel (Br-row
+/// tiles, Br×Bc score tiles, online softmax).
+enum class SingleKernel { kOtf, kFlash };
+
+/// One single-kernel attention launch plus the shared tail — the body of
+/// both the self- and the cross-attention operators. `kv` is the K/V length
+/// (seq_len for self-attention); `charge_mask` adds the OTF kernel's
+/// masking ops, which only self-attention performs.
+tensor::MatrixF single_kernel_attention(ExecContext& ctx, SingleKernel kind,
+                                        std::string name,
+                                        const Projections& pr, std::size_t kv,
+                                        bool charge_mask,
+                                        const AttentionWeights& w,
+                                        const AttentionConfig& cfg) {
+  gpusim::Device& dev = ctx.device();
+  const bool flash = kind == SingleKernel::kFlash;
+  const std::size_t s = cfg.seq_len;
+  const std::size_t d = cfg.d_model;
+  const std::size_t h = cfg.num_heads;
+  const std::size_t sb = numeric::storage_bytes(cfg.precision);
+  const std::size_t ctx_cols = pr.ctx.cols();
+
+  const std::size_t row_tiles =
+      ceil_div(s, flash ? cfg.flash_block_rows : 16);
+  // Without pre-computation a CTA owns (head, row-tile); with it the CTA
+  // iterates all heads for its row tile so the Eq. 4/5 head-sum stays in
+  // registers.
+  auto launch = dev.launch(
+      {.name = std::move(name),
+       .ctas = pr.vo != nullptr ? row_tiles : row_tiles * h,
+       .shared_bytes_per_cta =
+           flash ? flash_shared_bytes(cfg) : otf_shared_bytes(cfg, kv),
+       .pattern = AccessPattern::kTiled});
+  // Q read once; K and the context operand re-read once per row tile —
+  // the deliberate extra-loads-for-zero-intermediate-stores trade of
+  // §5.2.5 (Fig. 11). Flash's Br = 64 re-reads 4x less than 16-row tiles.
+  launch.load_bytes(static_cast<std::uint64_t>(s) * d * sb);
+  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * d * sb);
+  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * ctx_cols *
+                    sb);
+  // Only the final output touches global memory. With a condensed context
+  // operand only the surviving columns are written.
+  launch.store_bytes(static_cast<std::uint64_t>(s) *
+                     (pr.vo != nullptr ? d : ctx_cols) * sb);
+
+  const std::uint64_t matmul = 2ull * s * kv * d + 2ull * s * kv * ctx_cols;
+  std::uint64_t pointwise = s * d /*scale*/;
+  if (flash) {
+    // The running (m, ℓ) pair per row and head — the logsumexp line real
+    // flash kernels persist — is the operator's entire score-side global
+    // traffic: linear in N where partial-OTF's S round trip is quadratic.
+    const std::uint64_t stats_bytes =
+        2ull * s * h * numeric::accumulator_bytes(cfg.precision);
+    launch.store_bytes(stats_bytes);
+    launch.score_bytes(stats_bytes);
+    // Online softmax costs one extra op per score (the running-max
+    // compare) plus an accumulator rescale of each row's output block per
+    // K/V block.
+    pointwise += 6ull * s * kv * h /*online softmax*/ +
+                 static_cast<std::uint64_t>(s) *
+                     ceil_div(kv, cfg.flash_block_cols) *
+                     (ctx_cols + 2 * h) /*rescale*/;
+  } else {
+    pointwise += 5ull * s * kv * h /*softmax*/ +
+                 (charge_mask ? s * kv * h / 2 : 0) /*mask*/;
+  }
+  charge(launch, cfg.precision, matmul, pointwise);
+  launch.finish();
+  return attend(ctx, pr, w, cfg, flash);
 }
 
 }  // namespace
@@ -207,12 +294,10 @@ std::size_t otf_shared_bytes(const AttentionConfig& cfg, std::size_t kv_len) {
          2 * 16 * 16 * numeric::storage_bytes(cfg.precision);
 }
 
-std::size_t flash_shared_bytes(const AttentionConfig& cfg,
-                               std::size_t kv_len) {
+std::size_t flash_shared_bytes(const AttentionConfig& cfg) {
   // Deliberately independent of how much K/V streams past the CTA — the
   // score tile is Br×Bc no matter the sequence (or memory) length, which
   // is why flash keeps fitting where Eq. 6 overflows.
-  (void)kv_len;
   const std::size_t acc = numeric::accumulator_bytes(cfg.precision);
   // Eq. 6 with the kvLen-wide score row replaced by the fixed Bc-wide
   // block: Br·d_k (the Q tile) + Br·Bc (the score tile), plus
@@ -251,13 +336,7 @@ tensor::MatrixF modular_attention(ExecContext& ctx, const tensor::MatrixF& x,
   record_batched_gemm(dev, "bmm_sv", score_elems, s * d, s * d,
                       2ull * s * s * d, h * ceil_div(s, 128) * ceil_div(d, 128),
                       p, score_elems);
-
-  tensor::MatrixF z =
-      dev.traffic_only()
-          ? tensor::MatrixF(s, d)
-          : detail::attention_math(pr.q, pr.k, pr.ctx, nullptr, nullptr, cfg,
-                                   &ctx.pool());
-  return output_linear(ctx, z, w, cfg);
+  return attend(ctx, pr, w, cfg);
 }
 
 // --------------------------------------------------------------------------
@@ -302,13 +381,7 @@ tensor::MatrixF fused_attention(ExecContext& ctx, const tensor::MatrixF& x,
   record_batched_gemm(dev, "trt_sv", score_elems, s * d, s * d,
                       2ull * s * s * d, h * ceil_div(s, 128) * ceil_div(d, 128),
                       p, score_elems);
-
-  tensor::MatrixF z =
-      dev.traffic_only()
-          ? tensor::MatrixF(s, d)
-          : detail::attention_math(pr.q, pr.k, pr.ctx, nullptr, nullptr, cfg,
-                                   &ctx.pool());
-  return output_linear(ctx, z, w, cfg);
+  return attend(ctx, pr, w, cfg);
 }
 
 // --------------------------------------------------------------------------
@@ -317,58 +390,10 @@ tensor::MatrixF fused_attention(ExecContext& ctx, const tensor::MatrixF& x,
 tensor::MatrixF otf_attention(ExecContext& ctx, const tensor::MatrixF& x,
                               const AttentionWeights& w,
                               const AttentionConfig& cfg) {
-  gpusim::Device& dev = ctx.device();
   cfg.validate();
-  const std::size_t s = cfg.seq_len;
-  const std::size_t d = cfg.d_model;
-  const std::size_t h = cfg.num_heads;
-  const std::size_t sb = numeric::storage_bytes(cfg.precision);
-  const Precision p = cfg.precision;
-  const bool pre = w.has_precomputed();
-
-  Projections pr = project(ctx, x, w, cfg, /*et_operators=*/true);
-
-  const std::size_t row_tiles = ceil_div(s, 16);
-  // Without pre-computation a CTA owns (head, row-tile); with it the CTA
-  // iterates all heads for its row tile so the Eq. 4/5 head-sum stays in
-  // registers.
-  const std::size_t ctas = pre ? row_tiles : row_tiles * h;
-  const std::size_t ctx_cols = pr.ctx.cols();
-
-  auto launch = dev.launch({.name = "otf_attention",
-                            .ctas = ctas,
-                            .shared_bytes_per_cta = otf_shared_bytes(cfg),
-                            .pattern = AccessPattern::kTiled});
-  // Q read once; K and the context operand re-read once per row tile —
-  // the deliberate extra-loads-for-zero-intermediate-stores trade of
-  // §5.2.5 (Fig. 11).
-  launch.load_bytes(static_cast<std::uint64_t>(s) * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * ctx_cols * sb);
-  // Only the final output touches global memory. With a condensed context
-  // operand only the surviving columns are written.
-  launch.store_bytes(static_cast<std::uint64_t>(s) *
-                     (pr.vo != nullptr ? d : ctx_cols) * sb);
-
-  const std::uint64_t qk_flops = 2ull * s * s * d;
-  const std::uint64_t sv_flops = 2ull * s * s * ctx_cols;
-  const std::uint64_t pointwise =
-      s * d /*scale*/ + 5ull * s * s * h /*softmax*/ + s * s * h / 2 /*mask*/;
-  if (p == Precision::kFp32) {
-    launch.fp_ops(qk_flops + sv_flops + pointwise);
-  } else {
-    launch.tensor_ops(qk_flops + sv_flops);
-    launch.fp_ops(pointwise);
-  }
-  launch.finish();
-
-  tensor::MatrixF z =
-      dev.traffic_only()
-          ? tensor::MatrixF(s, d)
-          : detail::attention_math(pr.q, pr.k, pr.ctx, pr.vo,
-                                   pr.v_kept_ptr(), cfg, &ctx.pool());
-  if (pre) return z;  // Eq. 5: the output linear is already folded in.
-  return output_linear(ctx, z, w, cfg);
+  const Projections pr = project(ctx, x, w, cfg, /*et_operators=*/true);
+  return single_kernel_attention(ctx, SingleKernel::kOtf, "otf_attention", pr,
+                                 cfg.seq_len, /*charge_mask=*/true, w, cfg);
 }
 
 // --------------------------------------------------------------------------
@@ -381,188 +406,47 @@ tensor::MatrixF otf_attention(ExecContext& ctx, const tensor::MatrixF& x,
 tensor::MatrixF flash_attention(ExecContext& ctx, const tensor::MatrixF& x,
                                 const AttentionWeights& w,
                                 const AttentionConfig& cfg) {
-  gpusim::Device& dev = ctx.device();
   cfg.validate();
-  const std::size_t s = cfg.seq_len;
-  const std::size_t d = cfg.d_model;
-  const std::size_t h = cfg.num_heads;
-  const std::size_t sb = numeric::storage_bytes(cfg.precision);
-  const std::size_t acc = numeric::accumulator_bytes(cfg.precision);
-  const Precision p = cfg.precision;
-  const bool pre = w.has_precomputed();
-
-  Projections pr = project(ctx, x, w, cfg, /*et_operators=*/true);
-
-  const std::size_t row_tiles = ceil_div(s, cfg.flash_block_rows);
-  const std::size_t kv_blocks = ceil_div(s, cfg.flash_block_cols);
-  // Same CTA ownership rule as OTF (pre-computation keeps the head sum in
-  // registers), but over Br-row tiles instead of 16-row ones.
-  const std::size_t ctas = pre ? row_tiles : row_tiles * h;
-  const std::size_t ctx_cols = pr.ctx.cols();
-
-  auto launch = dev.launch({.name = "flash_attention",
-                            .ctas = ctas,
-                            .shared_bytes_per_cta = flash_shared_bytes(cfg),
-                            .pattern = AccessPattern::kTiled});
-  // Q read once; K and the context operand re-read once per Br-row tile —
-  // the OTF trade again, but Br = 64 re-reads 4x less than 16-row tiles.
-  launch.load_bytes(static_cast<std::uint64_t>(s) * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * ctx_cols * sb);
-  launch.store_bytes(static_cast<std::uint64_t>(s) *
-                     (pr.vo != nullptr ? d : ctx_cols) * sb);
-  // The running (m, ℓ) pair per row and head — the logsumexp line real
-  // flash kernels persist — is the operator's entire score-side global
-  // traffic: linear in N where partial-OTF's S round trip is quadratic.
-  const std::uint64_t stats_bytes = 2ull * s * h * acc;
-  launch.store_bytes(stats_bytes);
-  launch.score_bytes(stats_bytes);
-
-  const std::uint64_t qk_flops = 2ull * s * s * d;
-  const std::uint64_t sv_flops = 2ull * s * s * ctx_cols;
-  // Online softmax costs one extra op per score (the running-max compare)
-  // plus an accumulator rescale of each row's output block per K/V block.
-  const std::uint64_t pointwise =
-      s * d /*scale*/ + 6ull * s * s * h /*online softmax*/ +
-      static_cast<std::uint64_t>(s) * kv_blocks * (ctx_cols + 2 * h)
-      /*rescale*/;
-  if (p == Precision::kFp32) {
-    launch.fp_ops(qk_flops + sv_flops + pointwise);
-  } else {
-    launch.tensor_ops(qk_flops + sv_flops);
-    launch.fp_ops(pointwise);
-  }
-  launch.finish();
-
-  tensor::MatrixF z =
-      dev.traffic_only()
-          ? tensor::MatrixF(s, d)
-          : detail::flash_attention_math(pr.q, pr.k, pr.ctx, pr.vo,
-                                         pr.v_kept_ptr(), cfg, &ctx.pool());
-  if (pre) return z;  // Eq. 5: the output linear is already folded in.
-  return output_linear(ctx, z, w, cfg);
+  const Projections pr = project(ctx, x, w, cfg, /*et_operators=*/true);
+  return single_kernel_attention(ctx, SingleKernel::kFlash, "flash_attention",
+                                 pr, cfg.seq_len, /*charge_mask=*/true, w,
+                                 cfg);
 }
 
 // --------------------------------------------------------------------------
-// E.T. on-the-fly cross-attention: same kernel structure as otf_attention,
-// with K/V projected from the encoder memory.
+// E.T. on-the-fly cross-attention: the otf_attention kernel with K/V
+// projected from the encoder memory and no mask.
 // --------------------------------------------------------------------------
 tensor::MatrixF otf_cross_attention(ExecContext& ctx,
                                     const tensor::MatrixF& x,
                                     const tensor::MatrixF& memory,
                                     const AttentionWeights& w,
                                     const AttentionConfig& cfg) {
-  gpusim::Device& dev = ctx.device();
   cfg.validate();
-  const std::size_t s = cfg.seq_len;
-  const std::size_t kv = memory.rows();
-  const std::size_t d = cfg.d_model;
-  const std::size_t sb = numeric::storage_bytes(cfg.precision);
-  const Precision p = cfg.precision;
-  const bool pre = w.has_precomputed();
-  assert(x.rows() == s && memory.cols() == d);
-
-  Projections pr = project_cross(ctx, x, memory, w, cfg);
-
-  const std::size_t row_tiles = ceil_div(s, 16);
-  const std::size_t ctas = pre ? row_tiles : row_tiles * cfg.num_heads;
-  const std::size_t ctx_cols = pr.ctx.cols();
-
-  auto launch = dev.launch({.name = "otf_cross_attention",
-                            .ctas = ctas,
-                            .shared_bytes_per_cta = otf_shared_bytes(cfg, kv),
-                            .pattern = AccessPattern::kTiled});
-  launch.load_bytes(static_cast<std::uint64_t>(s) * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * ctx_cols *
-                    sb);
-  launch.store_bytes(static_cast<std::uint64_t>(s) *
-                     (pr.vo != nullptr ? d : ctx_cols) * sb);
-  const std::uint64_t qk_flops = 2ull * s * kv * d;
-  const std::uint64_t sv_flops = 2ull * s * kv * ctx_cols;
-  const std::uint64_t pointwise =
-      s * d + 5ull * s * kv * cfg.num_heads;
-  if (p == Precision::kFp32) {
-    launch.fp_ops(qk_flops + sv_flops + pointwise);
-  } else {
-    launch.tensor_ops(qk_flops + sv_flops);
-    launch.fp_ops(pointwise);
-  }
-  launch.finish();
-
-  tensor::MatrixF z =
-      dev.traffic_only()
-          ? tensor::MatrixF(s, d)
-          : detail::attention_math(pr.q, pr.k, pr.ctx, pr.vo,
-                                   pr.v_kept_ptr(), cfg, &ctx.pool());
-  if (pre) return z;
-  return output_linear(ctx, z, w, cfg);
+  assert(x.rows() == cfg.seq_len && memory.cols() == cfg.d_model);
+  const Projections pr = project_cross(ctx, x, memory, w, cfg);
+  return single_kernel_attention(ctx, SingleKernel::kOtf,
+                                 "otf_cross_attention", pr, memory.rows(),
+                                 /*charge_mask=*/false, w, cfg);
 }
 
 // --------------------------------------------------------------------------
-// Streaming cross-attention: the flash kernel structure with K/V from the
-// encoder memory. The memory is the streamed operand, so the score tile
-// stays Br×Bc however long the encoder output grows — where the OTF
-// cross kernel's Eq. 6 row is kv wide.
+// Streaming cross-attention: the flash kernel with K/V from the encoder
+// memory. The memory is the streamed operand, so the score tile stays
+// Br×Bc however long the encoder output grows — where the OTF cross
+// kernel's Eq. 6 row is kv wide.
 // --------------------------------------------------------------------------
 tensor::MatrixF flash_cross_attention(ExecContext& ctx,
                                       const tensor::MatrixF& x,
                                       const tensor::MatrixF& memory,
                                       const AttentionWeights& w,
                                       const AttentionConfig& cfg) {
-  gpusim::Device& dev = ctx.device();
   cfg.validate();
-  const std::size_t s = cfg.seq_len;
-  const std::size_t kv = memory.rows();
-  const std::size_t d = cfg.d_model;
-  const std::size_t h = cfg.num_heads;
-  const std::size_t sb = numeric::storage_bytes(cfg.precision);
-  const std::size_t acc = numeric::accumulator_bytes(cfg.precision);
-  const Precision p = cfg.precision;
-  const bool pre = w.has_precomputed();
-  assert(x.rows() == s && memory.cols() == d);
-
-  Projections pr = project_cross(ctx, x, memory, w, cfg);
-
-  const std::size_t row_tiles = ceil_div(s, cfg.flash_block_rows);
-  const std::size_t kv_blocks = ceil_div(kv, cfg.flash_block_cols);
-  const std::size_t ctas = pre ? row_tiles : row_tiles * h;
-  const std::size_t ctx_cols = pr.ctx.cols();
-
-  auto launch = dev.launch({.name = "flash_cross_attention",
-                            .ctas = ctas,
-                            .shared_bytes_per_cta =
-                                flash_shared_bytes(cfg, kv),
-                            .pattern = AccessPattern::kTiled});
-  launch.load_bytes(static_cast<std::uint64_t>(s) * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * d * sb);
-  launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * kv * ctx_cols *
-                    sb);
-  launch.store_bytes(static_cast<std::uint64_t>(s) *
-                     (pr.vo != nullptr ? d : ctx_cols) * sb);
-  const std::uint64_t stats_bytes = 2ull * s * h * acc;
-  launch.store_bytes(stats_bytes);
-  launch.score_bytes(stats_bytes);
-  const std::uint64_t qk_flops = 2ull * s * kv * d;
-  const std::uint64_t sv_flops = 2ull * s * kv * ctx_cols;
-  const std::uint64_t pointwise =
-      s * d + 6ull * s * kv * h +
-      static_cast<std::uint64_t>(s) * kv_blocks * (ctx_cols + 2 * h);
-  if (p == Precision::kFp32) {
-    launch.fp_ops(qk_flops + sv_flops + pointwise);
-  } else {
-    launch.tensor_ops(qk_flops + sv_flops);
-    launch.fp_ops(pointwise);
-  }
-  launch.finish();
-
-  tensor::MatrixF z =
-      dev.traffic_only()
-          ? tensor::MatrixF(s, d)
-          : detail::flash_attention_math(pr.q, pr.k, pr.ctx, pr.vo,
-                                         pr.v_kept_ptr(), cfg, &ctx.pool());
-  if (pre) return z;
-  return output_linear(ctx, z, w, cfg);
+  assert(x.rows() == cfg.seq_len && memory.cols() == cfg.d_model);
+  const Projections pr = project_cross(ctx, x, memory, w, cfg);
+  return single_kernel_attention(ctx, SingleKernel::kFlash,
+                                 "flash_cross_attention", pr, memory.rows(),
+                                 /*charge_mask=*/false, w, cfg);
 }
 
 // --------------------------------------------------------------------------
@@ -582,9 +466,8 @@ tensor::MatrixF partial_otf_attention(ExecContext& ctx,
   const std::size_t acc = numeric::accumulator_bytes(cfg.precision);
   const std::size_t score_elems = s * s * h;
   const Precision p = cfg.precision;
-  const bool pre = w.has_precomputed();
 
-  Projections pr = project(ctx, x, w, cfg, /*et_operators=*/true);
+  const Projections pr = project(ctx, x, w, cfg, /*et_operators=*/true);
   const std::size_t ctx_cols = pr.ctx.cols();
 
   // Kernel A: ②–③. Outer-product decomposition reads Q and K exactly
@@ -598,13 +481,7 @@ tensor::MatrixF partial_otf_attention(ExecContext& ctx,
     launch.load_bytes(2ull * s * d * sb);
     launch.store_bytes(static_cast<std::uint64_t>(score_elems) * sb);
     launch.score_bytes(static_cast<std::uint64_t>(score_elems) * sb);
-    const std::uint64_t flops = 2ull * s * s * d + s * d /*scale*/;
-    if (p == Precision::kFp32) {
-      launch.fp_ops(flops);
-    } else {
-      launch.tensor_ops(2ull * s * s * d);
-      launch.fp_ops(s * d);
-    }
+    charge(launch, p, 2ull * s * s * d, s * d /*scale*/);
   }
 
   // Kernel B: ④–⑥. A CTA stages up to 32 score rows in shared memory,
@@ -621,7 +498,7 @@ tensor::MatrixF partial_otf_attention(ExecContext& ctx,
     const std::size_t row_tiles = ceil_div(s, rows_per_cta);
     auto launch = dev.launch(
         {.name = "partial_otf_softmax_sv",
-         .ctas = (pre ? 1 : h) * row_tiles,
+         .ctas = (pr.vo != nullptr ? 1 : h) * row_tiles,
          .shared_bytes_per_cta = rows_per_cta * s * acc + staging,
          .pattern = AccessPattern::kTiled});
     launch.load_bytes(static_cast<std::uint64_t>(score_elems) * sb);
@@ -629,23 +506,10 @@ tensor::MatrixF partial_otf_attention(ExecContext& ctx,
     launch.load_bytes(static_cast<std::uint64_t>(row_tiles) * s * ctx_cols *
                       sb);
     launch.store_bytes(static_cast<std::uint64_t>(s) * d * sb);
-    const std::uint64_t sv_flops = 2ull * s * s * ctx_cols;
-    const std::uint64_t pointwise = 5ull * score_elems + score_elems / 2;
-    if (p == Precision::kFp32) {
-      launch.fp_ops(sv_flops + pointwise);
-    } else {
-      launch.tensor_ops(sv_flops);
-      launch.fp_ops(pointwise);
-    }
+    charge(launch, p, 2ull * s * s * ctx_cols,
+           5ull * score_elems + score_elems / 2);
   }
-
-  tensor::MatrixF z =
-      dev.traffic_only()
-          ? tensor::MatrixF(s, d)
-          : detail::attention_math(pr.q, pr.k, pr.ctx, pr.vo,
-                                   pr.v_kept_ptr(), cfg, &ctx.pool());
-  if (pre) return z;
-  return output_linear(ctx, z, w, cfg);
+  return attend(ctx, pr, w, cfg);
 }
 
 }  // namespace et::core

@@ -104,9 +104,7 @@ namespace et::core {
 /// Shared memory one flash CTA needs: the Br-row Q tile plus the Br×Bc
 /// score tile in accumulator precision, plus K/V staging buffers. Unlike
 /// Eq. 6 this never depends on the sequence (or memory) length — the
-/// whole point of streaming the K/V blocks — so the same `kv_len = 0`
-/// signature exists purely for interface symmetry with otf_shared_bytes.
-[[nodiscard]] std::size_t flash_shared_bytes(const AttentionConfig& cfg,
-                                             std::size_t kv_len = 0);
+/// whole point of streaming the K/V blocks.
+[[nodiscard]] std::size_t flash_shared_bytes(const AttentionConfig& cfg);
 
 }  // namespace et::core

@@ -1,6 +1,8 @@
 #include "core/attention_math.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -10,7 +12,98 @@
 namespace et::core::detail {
 
 namespace {
+
 using numeric::Precision;
+
+/// The row computation attention_math and flash_attention_math share:
+/// operand checks, the scaled Q row, one Q·Kᵀ score, the mask bound and the
+/// map from a head's context columns to output columns. The two operators
+/// differ only in how a row's scores meet the context operand.
+struct AttentionRows {
+  const tensor::MatrixF& q;
+  const tensor::MatrixF& k;
+  const tensor::MatrixF& context;
+  const PrecomputedVO* vo;
+  const std::vector<std::uint32_t>* v_kept;
+  const AttentionConfig& cfg;
+  /// Keys/values may come from a memory of different length
+  /// (cross-attention); self-attention has kv == seq_len.
+  std::size_t kv = k.rows();
+  std::size_t dk = cfg.d_k();
+  /// Width of one head's slice of the context operand.
+  std::size_t width = vo != nullptr ? vo->kept()
+                      : v_kept != nullptr
+                          ? v_kept->size() / cfg.num_heads
+                          : dk;
+  float scale = cfg.scale();
+
+  void check() const {
+    assert(q.rows() == cfg.seq_len && q.cols() == cfg.d_model);
+    assert(k.cols() == cfg.d_model);
+    assert(context.rows() == kv);
+    assert(vo == nullptr || v_kept == nullptr);
+    assert(v_kept == nullptr || v_kept->size() % cfg.num_heads == 0);
+    assert(context.cols() == cfg.num_heads * width);
+  }
+
+  /// ② the scaling operator. Reordered before the multiply it keeps every
+  /// partial product within FP16 range (§3.3).
+  void load_q(std::size_t i, std::size_t h, float* qrow) const {
+    const float* src = q.row(i).data() + h * dk;
+    for (std::size_t c = 0; c < dk; ++c) {
+      qrow[c] = cfg.scale_before_multiply
+                    ? numeric::round_to_storage(cfg.precision,
+                                                src[c] * scale)
+                    : src[c];
+    }
+  }
+
+  /// ③ one entry of Q·Kᵀ, accumulated under the precision policy.
+  [[nodiscard]] float score(const float* qrow, std::size_t h,
+                            std::size_t j) const {
+    const Precision p = cfg.precision;
+    float acc = numeric::round_to_storage(
+        p, numeric::dot(p, qrow, 1, k.row(j).data() + h * dk, 1, dk, 0.0f));
+    if (!cfg.scale_before_multiply) {
+      acc = numeric::round_to_storage(p, acc * scale);
+    }
+    return acc;
+  }
+
+  /// ④ keys at and past this index get no weight in row i: the causal
+  /// mask (self-attention only; it is meaningless over an encoder memory)
+  /// and the padding mask past the valid prefix. At least the diagonal
+  /// itself always remains.
+  [[nodiscard]] std::size_t key_end(std::size_t i) const {
+    std::size_t end = kv;
+    if (cfg.causal_mask && kv == cfg.seq_len) end = std::min(end, i + 1);
+    if (cfg.valid_len > 0 && cfg.valid_len < kv) {
+      end = std::min(end, cfg.valid_len);
+    }
+    return end;
+  }
+
+  /// Head h's slice of context row j; consecutive rows are
+  /// context.cols() apart.
+  [[nodiscard]] const float* ctx(std::size_t j, std::size_t h) const {
+    return context.row(j).data() + h * width;
+  }
+
+  /// Write output column c of head h for row i. Dense and condensed-V
+  /// columns have a single writer, so they are stored (keeping signed
+  /// zeros exact; condensed V leaves zeros at pruned positions); under
+  /// W_VO the heads sum into the shared output columns (⑧, Eq. 4/5).
+  void store(tensor::MatrixF& out, std::size_t i, std::size_t h,
+             std::size_t c, float v) const {
+    if (vo != nullptr) {
+      out(i, vo->kept_cols[c]) += v;
+    } else {
+      out(i, v_kept != nullptr ? (*v_kept)[h * width + c] : h * width + c) =
+          v;
+    }
+  }
+};
+
 }  // namespace
 
 tensor::MatrixF attention_math(const tensor::MatrixF& q,
@@ -19,76 +112,24 @@ tensor::MatrixF attention_math(const tensor::MatrixF& q,
                                const PrecomputedVO* vo,
                                const std::vector<std::uint32_t>* v_kept,
                                const AttentionConfig& cfg, ThreadPool* pool) {
+  const AttentionRows rows{q, k, context, vo, v_kept, cfg};
+  rows.check();
   const std::size_t s = cfg.seq_len;
-  // Cross-attention: keys/values may come from a memory of different
-  // length; self-attention has kv == s.
-  const std::size_t kv = k.rows();
-  const std::size_t d = cfg.d_model;
-  const std::size_t h_count = cfg.num_heads;
-  const std::size_t dk = cfg.d_k();
+  const std::size_t kv = rows.kv;
   const Precision p = cfg.precision;
-  const float scale = cfg.scale();
 
-  assert(q.rows() == s && q.cols() == d);
-  assert(k.cols() == d);
-  assert(context.rows() == kv);
-  assert(vo == nullptr || v_kept == nullptr);
-  if (vo != nullptr) {
-    assert(context.cols() == h_count * vo->kept());
-  } else if (v_kept != nullptr) {
-    assert(context.cols() == v_kept->size());
-    assert(v_kept->size() % h_count == 0);
-  } else {
-    assert(context.cols() == d);
-  }
-  const std::size_t v_per_head =
-      v_kept != nullptr ? v_kept->size() / h_count : 0;
-
-  tensor::MatrixF out(s, d);
+  tensor::MatrixF out(s, cfg.d_model);
 
   const auto row_body = [&](std::size_t i) {
-    std::vector<float> qrow(dk);
+    std::vector<float> qrow(rows.dk);
     std::vector<float> scores(kv);
-    for (std::size_t h = 0; h < h_count; ++h) {
-      // ② the scaling operator. Reordered before the multiply it keeps
-      // every partial product within FP16 range (§3.3).
-      for (std::size_t c = 0; c < dk; ++c) {
-        const float v = q(i, h * dk + c);
-        qrow[c] = cfg.scale_before_multiply
-                      ? numeric::round_to_storage(p, v * scale)
-                      : v;
-      }
-      // ③ one row of Q·Kᵀ, accumulated under the precision policy.
+    for (std::size_t h = 0; h < cfg.num_heads; ++h) {
+      rows.load_q(i, h, qrow.data());
       for (std::size_t j = 0; j < kv; ++j) {
-        float acc = 0.0f;
-        if (p == Precision::kFp32) {
-          for (std::size_t c = 0; c < dk; ++c) {
-            acc += qrow[c] * k(j, h * dk + c);
-          }
-        } else {
-          for (std::size_t c = 0; c < dk; ++c) {
-            acc = numeric::fma_step(p, qrow[c], k(j, h * dk + c), acc);
-          }
-          acc = numeric::round_to_storage(p, acc);
-        }
-        if (!cfg.scale_before_multiply) {
-          acc = numeric::round_to_storage(p, acc * scale);
-        }
-        scores[j] = acc;
+        scores[j] = rows.score(qrow.data(), h, j);
       }
-      // ④ masking (self-attention only; a causal mask is meaningless when
-      // attending over an encoder memory).
-      if (cfg.causal_mask && kv == s) {
-        for (std::size_t j = i + 1; j < kv; ++j) {
-          scores[j] = -std::numeric_limits<float>::infinity();
-        }
-      }
-      // Padding mask: keys past the valid prefix never receive weight.
-      if (cfg.valid_len > 0 && cfg.valid_len < kv) {
-        for (std::size_t j = cfg.valid_len; j < kv; ++j) {
-          scores[j] = -std::numeric_limits<float>::infinity();
-        }
-      }
+      std::fill(scores.begin() + static_cast<std::ptrdiff_t>(rows.key_end(i)),
+                scores.end(), -std::numeric_limits<float>::infinity());
       // ⑤ softmax over the row (max-subtracted; ±inf saturations from an
       // FP16 overflow propagate into NaN/garbage exactly as on hardware).
       float mx = -std::numeric_limits<float>::infinity();
@@ -102,59 +143,12 @@ tensor::MatrixF attention_math(const tensor::MatrixF& q,
       for (std::size_t j = 0; j < kv; ++j) {
         scores[j] = numeric::round_to_storage(p, scores[j] * inv);
       }
-      // ⑥ multiply with the context operand.
-      if (v_kept != nullptr) {
-        // Condensed V: only the surviving columns of this head are
-        // computed; Z keeps zeros at pruned positions.
-        for (std::size_t c = 0; c < v_per_head; ++c) {
-          float acc = 0.0f;
-          if (p == Precision::kFp32) {
-            for (std::size_t j = 0; j < kv; ++j) {
-              acc += scores[j] * context(j, h * v_per_head + c);
-            }
-          } else {
-            for (std::size_t j = 0; j < kv; ++j) {
-              acc = numeric::fma_step(p, scores[j],
-                                      context(j, h * v_per_head + c), acc);
-            }
-            acc = numeric::round_to_storage(p, acc);
-          }
-          out(i, (*v_kept)[h * v_per_head + c]) = acc;
-        }
-      } else if (vo == nullptr) {
-        for (std::size_t c = 0; c < dk; ++c) {
-          float acc = 0.0f;
-          if (p == Precision::kFp32) {
-            for (std::size_t j = 0; j < kv; ++j) {
-              acc += scores[j] * context(j, h * dk + c);
-            }
-          } else {
-            for (std::size_t j = 0; j < kv; ++j) {
-              acc = numeric::fma_step(p, scores[j], context(j, h * dk + c),
-                                      acc);
-            }
-            acc = numeric::round_to_storage(p, acc);
-          }
-          out(i, h * dk + c) = acc;
-        }
-      } else {
-        const std::size_t kept = vo->kept();
-        for (std::size_t c = 0; c < kept; ++c) {
-          float acc = 0.0f;
-          if (p == Precision::kFp32) {
-            for (std::size_t j = 0; j < kv; ++j) {
-              acc += scores[j] * context(j, h * kept + c);
-            }
-          } else {
-            for (std::size_t j = 0; j < kv; ++j) {
-              acc = numeric::fma_step(p, scores[j], context(j, h * kept + c),
-                                      acc);
-            }
-            acc = numeric::round_to_storage(p, acc);
-          }
-          // ⑧ heads sum into the shared output columns (Eq. 4/5).
-          out(i, vo->kept_cols[c]) += acc;
-        }
+      // ⑥ multiply with the context operand, one output column at a time.
+      for (std::size_t c = 0; c < rows.width; ++c) {
+        rows.store(out, i, h, c,
+                   numeric::round_to_storage(
+                       p, numeric::dot(p, scores.data(), 1, rows.ctx(0, h) + c,
+                                       context.cols(), kv, 0.0f)));
       }
     }
   };
@@ -174,93 +168,43 @@ tensor::MatrixF flash_attention_math(const tensor::MatrixF& q,
                                      const std::vector<std::uint32_t>* v_kept,
                                      const AttentionConfig& cfg,
                                      ThreadPool* pool) {
+  const AttentionRows rows{q, k, context, vo, v_kept, cfg};
+  rows.check();
   const std::size_t s = cfg.seq_len;
-  const std::size_t kv = k.rows();
-  const std::size_t d = cfg.d_model;
-  const std::size_t h_count = cfg.num_heads;
-  const std::size_t dk = cfg.d_k();
   const std::size_t br = cfg.flash_block_rows;
   const std::size_t bc = cfg.flash_block_cols;
   const Precision p = cfg.precision;
-  const float scale = cfg.scale();
   constexpr float kInf = std::numeric_limits<float>::infinity();
-
-  assert(q.rows() == s && q.cols() == d);
-  assert(k.cols() == d);
-  assert(context.rows() == kv);
-  assert(vo == nullptr || v_kept == nullptr);
-  if (vo != nullptr) {
-    assert(context.cols() == h_count * vo->kept());
-  } else if (v_kept != nullptr) {
-    assert(context.cols() == v_kept->size());
-    assert(v_kept->size() % h_count == 0);
-  } else {
-    assert(context.cols() == d);
-  }
-  /// Width of one head's slice of the context operand.
-  const std::size_t v_cols = vo != nullptr
-                                 ? vo->kept()
-                                 : (v_kept != nullptr
-                                        ? v_kept->size() / h_count
-                                        : dk);
   // P·V multiplicands are rounded to the policy's storage type but always
   // accumulate in FP32 (the flash kernel keeps O in FP32 registers while
   // rescaling — see the header); pure FP16 therefore shares kMixed's step.
-  const Precision pv = p == Precision::kBf16Mixed ? Precision::kBf16Mixed
-                                                  : Precision::kMixed;
+  const Precision pv = p == Precision::kPureFp16 ? Precision::kMixed : p;
 
-  tensor::MatrixF out(s, d);
+  tensor::MatrixF out(s, cfg.d_model);
 
   const auto tile_body = [&](std::size_t t) {
-    std::vector<float> qrow(dk);
+    std::vector<float> qrow(rows.dk);
     std::vector<float> block(bc);
-    std::vector<float> acc(v_cols);
+    std::vector<float> acc(rows.width);
     const std::size_t i_end = std::min(s, (t + 1) * br);
     for (std::size_t i = t * br; i < i_end; ++i) {
-      for (std::size_t h = 0; h < h_count; ++h) {
-        // ② the scaling operator, reordered exactly as attention_math.
-        for (std::size_t c = 0; c < dk; ++c) {
-          const float v = q(i, h * dk + c);
-          qrow[c] = cfg.scale_before_multiply
-                        ? numeric::round_to_storage(p, v * scale)
-                        : v;
-        }
+      for (std::size_t h = 0; h < cfg.num_heads; ++h) {
+        rows.load_q(i, h, qrow.data());
         // Fully-masked keys contribute exp(-inf) = 0, so the streaming
-        // loop stops at the causal diagonal / valid prefix — the block
-        // skip a flash kernel performs. At least one key always remains
-        // (the diagonal itself).
-        std::size_t kv_end = kv;
-        if (cfg.causal_mask && kv == s) kv_end = std::min(kv_end, i + 1);
-        if (cfg.valid_len > 0 && cfg.valid_len < kv) {
-          kv_end = std::min(kv_end, cfg.valid_len);
-        }
+        // loop stops at the mask bound — the block skip a flash kernel
+        // performs.
+        const std::size_t kv_end = rows.key_end(i);
 
         float m = -kInf;   // running row max
         float l = 0.0f;    // running softmax denominator
         std::fill(acc.begin(), acc.end(), 0.0f);
         for (std::size_t b0 = 0; b0 < kv_end; b0 += bc) {
           const std::size_t b1 = std::min(kv_end, b0 + bc);
-          // ③ one Bc-wide block of the score row, under the same
-          // precision policy (and §3.3 overflow behavior) as every other
-          // operator.
+          // One Bc-wide block of the score row.
           float bm = -kInf;
           for (std::size_t j = b0; j < b1; ++j) {
-            float sc = 0.0f;
-            if (p == Precision::kFp32) {
-              for (std::size_t c = 0; c < dk; ++c) {
-                sc += qrow[c] * k(j, h * dk + c);
-              }
-            } else {
-              for (std::size_t c = 0; c < dk; ++c) {
-                sc = numeric::fma_step(p, qrow[c], k(j, h * dk + c), sc);
-              }
-              sc = numeric::round_to_storage(p, sc);
-            }
-            if (!cfg.scale_before_multiply) {
-              sc = numeric::round_to_storage(p, sc * scale);
-            }
-            block[j - b0] = sc;
-            bm = std::max(bm, sc);
+            block[j - b0] = rows.score(qrow.data(), h, j);
+            bm = std::max(bm, block[j - b0]);
           }
           // ④–⑤ online softmax update: rescale the running denominator
           // and output by exp(m − m_new), then fold the block in. An
@@ -271,42 +215,19 @@ tensor::MatrixF flash_attention_math(const tensor::MatrixF& q,
           if (m_new == -kInf) continue;
           const float corr = m == -kInf ? 0.0f : std::exp(m - m_new);
           l *= corr;
-          for (std::size_t c = 0; c < v_cols; ++c) acc[c] *= corr;
+          for (float& a : acc) a *= corr;
           for (std::size_t j = b0; j < b1; ++j) {
             const float pj = std::exp(block[j - b0] - m_new);
             l += pj;
             // ⑥ fold the block's slice of the context operand in.
-            const std::size_t base = h * v_cols;
-            if (p == Precision::kFp32) {
-              for (std::size_t c = 0; c < v_cols; ++c) {
-                acc[c] += pj * context(j, base + c);
-              }
-            } else {
-              for (std::size_t c = 0; c < v_cols; ++c) {
-                acc[c] = numeric::fma_step(pv, pj, context(j, base + c),
-                                           acc[c]);
-              }
-            }
+            numeric::axpy(pv, pj, rows.ctx(j, h), 1, acc.data(), rows.width);
           }
           m = m_new;
         }
         // Deferred 1/ℓ normalization: one rounding to storage at the end.
         const float inv = l > 0.0f ? 1.0f / l : 0.0f;
-        if (v_kept != nullptr) {
-          for (std::size_t c = 0; c < v_cols; ++c) {
-            out(i, (*v_kept)[h * v_cols + c]) =
-                numeric::round_to_storage(p, acc[c] * inv);
-          }
-        } else if (vo != nullptr) {
-          // ⑧ heads sum into the shared output columns (Eq. 4/5).
-          for (std::size_t c = 0; c < v_cols; ++c) {
-            out(i, vo->kept_cols[c]) +=
-                numeric::round_to_storage(p, acc[c] * inv);
-          }
-        } else {
-          for (std::size_t c = 0; c < v_cols; ++c) {
-            out(i, h * dk + c) = numeric::round_to_storage(p, acc[c] * inv);
-          }
+        for (std::size_t c = 0; c < rows.width; ++c) {
+          rows.store(out, i, h, c, numeric::round_to_storage(p, acc[c] * inv));
         }
       }
     }

@@ -46,12 +46,9 @@ gpusim::KernelStats gemm_counters(std::string name, std::size_t m,
            : 0);
   st.global_store_bytes =
       static_cast<std::uint64_t>(algo.split_k) * m * n * sb;
-  const std::uint64_t flops = 2ull * m * n * k;
-  if (p == Precision::kFp32) {
-    st.fp_ops = flops;
-  } else {
-    st.tensor_ops = flops;
-  }
+  const auto ops = numeric::op_charge(p, 2ull * m * n * k);
+  st.fp_ops = ops.fp_ops;
+  st.tensor_ops = ops.tensor_ops;
   return st;
 }
 
@@ -69,28 +66,14 @@ void gemm_math(const tensor::MatrixF& a, const tensor::MatrixF& b,
   const std::size_t m = a.rows();
   const std::size_t n = Transposed ? b.rows() : b.cols();
   const std::size_t kk = a.cols();
-
-  if (p == Precision::kFp32) {
-    pool.parallel_for(m, [&](std::size_t i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        float acc = 0.0f;
-        for (std::size_t k = 0; k < kk; ++k) {
-          acc += a(i, k) * (Transposed ? b(j, k) : b(k, j));
-        }
-        c(i, j) = acc;
-      }
-    });
-    return;
-  }
+  // b's row j (NT) or column j (NN): the k-th element sits k·stride apart.
+  const std::size_t stride_b = Transposed ? 1 : n;
 
   pool.parallel_for(m, [&](std::size_t i) {
     for (std::size_t j = 0; j < n; ++j) {
-      float acc = 0.0f;
-      for (std::size_t k = 0; k < kk; ++k) {
-        acc = numeric::fma_step(p, a(i, k), Transposed ? b(j, k) : b(k, j),
-                                acc);
-      }
-      c(i, j) = numeric::round_to_storage(p, acc);
+      const float* bj = b.data() + (Transposed ? j * kk : j);
+      c(i, j) = numeric::round_to_storage(
+          p, numeric::dot(p, a.row(i).data(), 1, bj, stride_b, kk, 0.0f));
     }
   });
 }
@@ -225,12 +208,9 @@ std::vector<tensor::MatrixF> batched_gemm_nt(
   launch.load_bytes(a_loads + b_loads);
   launch.store_bytes(static_cast<std::uint64_t>(algo->split_k) * m * n_total *
                      sb);
-  const std::uint64_t flops = 2ull * m * n_total * kk;
-  if (p == Precision::kFp32) {
-    launch.fp_ops(flops);
-  } else {
-    launch.tensor_ops(flops);
-  }
+  const auto ops = numeric::op_charge(p, 2ull * m * n_total * kk);
+  launch.fp_ops(ops.fp_ops);
+  launch.tensor_ops(ops.tensor_ops);
 
   std::vector<tensor::MatrixF> out;
   out.reserve(bs.size());

@@ -64,13 +64,10 @@ tensor::MatrixF bcsr_gemm_nt(core::ExecContext& ctx, const tensor::MatrixF& x,
                      w.row_ptr().size() * sizeof(std::uint32_t)));
   launch.load_bytes(union_col_strips(w) * kTileSide * m * sb);
   launch.store_bytes(static_cast<std::uint64_t>(m) * n * sb);
-  const std::uint64_t flops =
-      2ull * m * kTileSide * kTileSide * w.nnz_tiles();
-  if (p == Precision::kFp32) {
-    launch.fp_ops(flops);
-  } else {
-    launch.tensor_ops(flops);
-  }
+  const auto ops = numeric::op_charge(
+      p, 2ull * m * kTileSide * kTileSide * w.nnz_tiles());
+  launch.fp_ops(ops.fp_ops);
+  launch.tensor_ops(ops.tensor_ops);
 
   tensor::MatrixF y(m, n);
   if (dev.traffic_only()) return y;
@@ -83,26 +80,13 @@ tensor::MatrixF bcsr_gemm_nt(core::ExecContext& ctx, const tensor::MatrixF& x,
         const std::size_t tc = w.col_idx()[t];
         const float* tile = w.tile_values(t);
         for (std::size_t jj = 0; jj < kTileSide; ++jj) {
-          float acc = y(i, tr * kTileSide + jj);
-          if (p == Precision::kFp32) {
-            for (std::size_t kk = 0; kk < kTileSide; ++kk) {
-              acc += x(i, tc * kTileSide + kk) * tile[jj * kTileSide + kk];
-            }
-          } else {
-            for (std::size_t kk = 0; kk < kTileSide; ++kk) {
-              acc = numeric::fma_step(p, x(i, tc * kTileSide + kk),
-                                      tile[jj * kTileSide + kk], acc);
-            }
-          }
-          y(i, tr * kTileSide + jj) = acc;
+          float& yj = y(i, tr * kTileSide + jj);
+          yj = numeric::dot(p, &x(i, tc * kTileSide), 1,
+                            tile + jj * kTileSide, 1, kTileSide, yj);
         }
       }
     }
-    if (p != Precision::kFp32) {
-      for (std::size_t j = 0; j < n; ++j) {
-        y(i, j) = numeric::round_to_storage(p, y(i, j));
-      }
-    }
+    for (float& v : y.row(i)) v = numeric::round_to_storage(p, v);
   });
   return y;
 }
@@ -155,18 +139,14 @@ tensor::MatrixF irregular_gemm_nt(core::ExecContext& ctx,
       }
       ctx.pool().parallel_for(m, [&](std::size_t i) {
         for (std::size_t jj = 0; jj < kTileSide; ++jj) {
-          float acc = y(i, tr * kTileSide + jj);
-          for (std::size_t kk = 0; kk < kTileSide; ++kk) {
-            acc += x(i, tile.col * kTileSide + kk) * scratch[jj * kTileSide + kk];
-          }
-          y(i, tr * kTileSide + jj) = acc;
+          float& yj = y(i, tr * kTileSide + jj);
+          yj = numeric::dot(Precision::kFp32, &x(i, tile.col * kTileSide), 1,
+                            &scratch[jj * kTileSide], 1, kTileSide, yj);
         }
       });
     }
   }
-  if (p != Precision::kFp32) {
-    for (auto& v : y.flat()) v = numeric::round_to_storage(p, v);
-  }
+  for (auto& v : y.flat()) v = numeric::round_to_storage(p, v);
   return y;
 }
 

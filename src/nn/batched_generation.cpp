@@ -190,13 +190,11 @@ void fused_step(core::ExecContext& ctx, const Model& model,
                         : (d + vw) * sb;
                 launch.load_bytes(ctx_len * kv_row_bytes);
                 launch.store_bytes(d * sb);
-                const std::uint64_t flops = 2ull * ctx_len * (d + vw);
-                if (p == numeric::Precision::kFp32) {
-                  launch.fp_ops(flops + 5ull * ctx_len * opt.attn.num_heads);
-                } else {
-                  launch.tensor_ops(flops);
-                  launch.fp_ops(5ull * ctx_len * opt.attn.num_heads);
-                }
+                const auto ops = numeric::op_charge(
+                    p, 2ull * ctx_len * (d + vw),
+                    5ull * ctx_len * opt.attn.num_heads);
+                launch.tensor_ops(ops.tensor_ops);
+                launch.fp_ops(ops.fp_ops);
               }
               if (!dev.traffic_only()) {
                 core::AttentionConfig step_cfg = opt.attn;

@@ -97,7 +97,7 @@ tensor::MatrixF decoder_forward(core::ExecContext& ctx,
       opt.adaptive.forced
           ? *opt.adaptive.forced == core::AttentionImpl::kFlash
           : kv_len > opt.adaptive.flash_min_seq &&
-                dev.fits_shared(core::flash_shared_bytes(cross_cfg, kv_len));
+                dev.fits_shared(core::flash_shared_bytes(cross_cfg));
   tensor::MatrixF c =
       flash_cross
           ? core::flash_cross_attention(ctx, h, memory, w.cross_attn,

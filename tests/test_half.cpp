@@ -2,9 +2,12 @@
 // accounting (the §3.3 mechanism).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
+#include <vector>
 
 #include "numeric/bfloat16.hpp"
 #include "numeric/half.hpp"
@@ -161,6 +164,177 @@ TEST(PrecisionPolicy, MixedFmaDoesNotOverflow) {
   EXPECT_NEAR(acc, 16.0f * 62500.0f, 200.0f);
   EXPECT_EQ(overflow_count(), 0u);
   reset_overflow_count();
+}
+
+// ------------------------------------------------ policy inner loop ----
+// numeric::dot and numeric::axpy are defined as the left fold of fma_step;
+// every GEMM and attention accumulate loop is one of those calls, so these
+// tests pin that definition bit for bit (and overflow event for overflow
+// event) under each policy.
+
+constexpr Precision kAllPolicies[] = {Precision::kFp32, Precision::kPureFp16,
+                                      Precision::kMixed, Precision::kBf16Mixed};
+
+float fold(Precision p, const float* a, std::size_t stride_a, const float* b,
+           std::size_t stride_b, std::size_t n, float acc) {
+  for (std::size_t i = 0; i < n; ++i) {
+    acc = et::numeric::fma_step(p, a[i * stride_a], b[i * stride_b], acc);
+  }
+  return acc;
+}
+
+/// Bit equality, except that any NaN matches any NaN: IEEE-754 leaves the
+/// payload an operation propagates unspecified.
+bool same_bits(float x, float y) {
+  if (std::isnan(x)) return std::isnan(y);
+  return std::bit_cast<std::uint32_t>(x) == std::bit_cast<std::uint32_t>(y);
+}
+
+/// Run `f` from a zeroed overflow counter; returns the events it raised.
+template <typename F>
+std::uint64_t overflows_of(F&& f) {
+  reset_overflow_count();
+  f();
+  const std::uint64_t n = overflow_count();
+  reset_overflow_count();
+  return n;
+}
+
+std::vector<float> random_values(std::size_t n, float amp, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::normal_distribution<float> dist(0.0f, amp);
+  std::vector<float> v(n);
+  for (auto& x : v) x = dist(rng);
+  return v;
+}
+
+TEST(PolicyLoop, DotIsTheLeftFoldOfFmaStep) {
+  constexpr std::size_t kN = 37;
+  for (const float amp : {1.0f, 300.0f}) {
+    const auto a = random_values(3 * kN, amp, 1);
+    const auto b = random_values(2 * kN, amp, 2);
+    for (const Precision p : kAllPolicies) {
+      for (const std::size_t sa : {1u, 3u}) {
+        for (const std::size_t sb : {1u, 2u}) {
+          for (const float acc0 : {0.0f, 1.75f, -4000.5f}) {
+            for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kN}) {
+              float want = 0.0f;
+              float got = 0.0f;
+              const auto want_ovf = overflows_of(
+                  [&] { want = fold(p, a.data(), sa, b.data(), sb, n, acc0); });
+              const auto got_ovf = overflows_of([&] {
+                got = et::numeric::dot(p, a.data(), sa, b.data(), sb, n, acc0);
+              });
+              EXPECT_TRUE(same_bits(got, want))
+                  << to_string(p) << " amp " << amp << " strides " << sa << ","
+                  << sb << " acc0 " << acc0 << " n " << n << ": " << got
+                  << " vs " << want;
+              EXPECT_EQ(got_ovf, want_ovf) << to_string(p) << " amp " << amp;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PolicyLoop, AxpyIsTheLeftFoldOfFmaStep) {
+  constexpr std::size_t kN = 29;
+  for (const float amp : {1.0f, 300.0f}) {
+    const auto x = random_values(4 * kN, amp, 3);
+    const auto y0 = random_values(kN, amp * 100.0f, 4);
+    for (const Precision p : kAllPolicies) {
+      for (const std::size_t sx : {1u, 4u}) {
+        for (const float alpha : {0.0f, -0.37f, 251.0f}) {
+          std::vector<float> want = y0;
+          std::vector<float> got = y0;
+          const auto want_ovf = overflows_of([&] {
+            for (std::size_t i = 0; i < kN; ++i) {
+              want[i] = et::numeric::fma_step(p, alpha, x[i * sx], want[i]);
+            }
+          });
+          const auto got_ovf = overflows_of([&] {
+            et::numeric::axpy(p, alpha, x.data(), sx, got.data(), kN);
+          });
+          for (std::size_t i = 0; i < kN; ++i) {
+            EXPECT_TRUE(same_bits(got[i], want[i]))
+                << to_string(p) << " amp " << amp << " stride " << sx
+                << " alpha " << alpha << " i " << i;
+          }
+          EXPECT_EQ(got_ovf, want_ovf) << to_string(p) << " amp " << amp;
+        }
+      }
+    }
+  }
+}
+
+TEST(PolicyLoop, DotReproducesThePureFp16Overflow) {
+  // The PureFp16FmaOverflows run above as one dot call: 16 × 250·250.
+  const std::vector<float> v(16, 250.0f);
+  for (const Precision p : kAllPolicies) {
+    float want = 0.0f;
+    float got = 0.0f;
+    const auto want_ovf = overflows_of(
+        [&] { want = fold(p, v.data(), 1, v.data(), 1, v.size(), 0.0f); });
+    const auto got_ovf = overflows_of([&] {
+      got = et::numeric::dot(p, v.data(), 1, v.data(), 1, v.size(), 0.0f);
+    });
+    EXPECT_TRUE(same_bits(got, want)) << to_string(p);
+    EXPECT_EQ(got_ovf, want_ovf) << to_string(p);
+    EXPECT_EQ(std::isinf(got), p == Precision::kPureFp16) << to_string(p);
+    EXPECT_EQ(got_ovf > 0, p == Precision::kPureFp16) << to_string(p);
+  }
+}
+
+TEST(PolicyLoop, SignedZerosAndNaNFollowTheFold) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<std::vector<float>> as = {
+      {-0.0f, 0.0f, -0.0f}, {-0.0f, -0.0f}, {1.0f, nan, 2.0f}, {inf, 1.0f}};
+  const std::vector<std::vector<float>> bs = {
+      {0.0f, -0.0f, 0.0f}, {0.0f, 0.0f}, {3.0f, 4.0f, 5.0f}, {0.0f, 1.0f}};
+  for (const Precision p : kAllPolicies) {
+    for (std::size_t t = 0; t < as.size(); ++t) {
+      for (const float acc0 : {-0.0f, 0.0f}) {
+        const float want = fold(p, as[t].data(), 1, bs[t].data(), 1,
+                                as[t].size(), acc0);
+        const float got = et::numeric::dot(p, as[t].data(), 1, bs[t].data(),
+                                           1, as[t].size(), acc0);
+        EXPECT_TRUE(same_bits(got, want))
+            << to_string(p) << " case " << t << " acc0 " << acc0;
+      }
+      std::vector<float> want(as[t].size(), -0.0f);
+      std::vector<float> got = want;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        want[i] = et::numeric::fma_step(p, -0.0f, as[t][i], want[i]);
+      }
+      et::numeric::axpy(p, -0.0f, as[t].data(), 1, got.data(), got.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(same_bits(got[i], want[i]))
+            << to_string(p) << " axpy case " << t << " i " << i;
+      }
+    }
+  }
+  // A sum of -0 terms stays -0 under every policy: -0·0 + -0 = -0.
+  const float neg_zero = -0.0f;
+  const float zero = 0.0f;
+  for (const Precision p : kAllPolicies) {
+    EXPECT_TRUE(std::signbit(
+        et::numeric::dot(p, &neg_zero, 1, &zero, 1, 1, -0.0f)))
+        << to_string(p);
+  }
+}
+
+TEST(PolicyLoop, OpChargeSplitsMatmulFromPointwise) {
+  const auto fp32 = et::numeric::op_charge(Precision::kFp32, 100, 7);
+  EXPECT_EQ(fp32.tensor_ops, 0u);
+  EXPECT_EQ(fp32.fp_ops, 107u);
+  for (const Precision p :
+       {Precision::kPureFp16, Precision::kMixed, Precision::kBf16Mixed}) {
+    const auto ops = et::numeric::op_charge(p, 100, 7);
+    EXPECT_EQ(ops.tensor_ops, 100u) << to_string(p);
+    EXPECT_EQ(ops.fp_ops, 7u) << to_string(p);
+  }
 }
 
 class HalfSweep : public ::testing::TestWithParam<float> {};

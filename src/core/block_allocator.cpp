@@ -264,36 +264,6 @@ void BlockAllocator::copy_rows(BlockId from, BlockId to, std::size_t rows) {
 }
 
 // ---------------------------------------------------------------------------
-// PagedKVView — thin per-layer forwarding views.
-
-std::size_t PagedKVView::capacity() const noexcept {
-  return slot_->pool_->max_context();
-}
-std::size_t PagedKVView::used() const noexcept { return slot_->used_[layer_]; }
-std::size_t PagedKVView::k_width() const noexcept {
-  return slot_->pool_->allocator().k_width();
-}
-std::size_t PagedKVView::v_width() const noexcept {
-  return slot_->pool_->allocator().v_width(layer_);
-}
-KvPrecision PagedKVView::precision() const noexcept {
-  return slot_->pool_->allocator().precision();
-}
-void PagedKVView::append(std::span<const float> k_row,
-                          std::span<const float> v_row) {
-  slot_->append(layer_, k_row, v_row);
-}
-tensor::MatrixF PagedKVView::k_prefix() const {
-  return slot_->k_prefix(layer_);
-}
-tensor::MatrixF PagedKVView::v_prefix() const {
-  return slot_->v_prefix(layer_);
-}
-void PagedKVView::truncate(std::size_t n) noexcept {
-  slot_->truncate(layer_, n);
-}
-
-// ---------------------------------------------------------------------------
 // PagedKVSlot
 
 bool PagedKVSlot::cow_block(std::size_t bi, std::size_t rows) {
@@ -342,12 +312,12 @@ void PagedKVSlot::append(std::size_t layer, std::span<const float> k_row,
   // Checks precede any write or cursor move: a rejected append leaves
   // both planes and the cursor untouched.
   if (pos >= pool_->max_context_) {
-    throw std::length_error("PagedKVView::append: cache is full (" +
+    throw std::length_error("PagedKVSlot::append: cache is full (" +
                             std::to_string(pool_->max_context_) + " rows)");
   }
   if (k_row.size() != kw || v_row.size() != vw) {
     throw std::invalid_argument(
-        "PagedKVView::append: row width mismatch (k " +
+        "PagedKVSlot::append: row width mismatch (k " +
         std::to_string(k_row.size()) + ", v " + std::to_string(v_row.size()) +
         ", cache k " + std::to_string(kw) + ", cache v " + std::to_string(vw) +
         ")");
@@ -372,13 +342,13 @@ void PagedKVSlot::append(std::size_t layer, std::span<const float> k_row,
     const auto b = pool_->alloc_.allocate();
     if (!b) {
       throw std::length_error(
-          "PagedKVView::append: block pool exhausted (kv_cache_full)");
+          "PagedKVSlot::append: block pool exhausted (kv_cache_full)");
     }
     table_.push_back(*b);
   } else if (alloc.ref_count(table_[bi]) > 1) {
     if (!cow_block(bi, off)) {
       throw std::length_error(
-          "PagedKVView::append: block pool exhausted (kv_cache_full)");
+          "PagedKVSlot::append: block pool exhausted (kv_cache_full)");
     }
   }
   pool_->trie_.invalidate(table_[bi], off);  // no-op after prepare_append
@@ -484,10 +454,6 @@ PagedKVPool::PagedKVPool(std::size_t num_slots, std::size_t max_context,
     PagedKVSlot& sl = slots_[s];
     sl.pool_ = this;
     sl.used_.assign(v_widths.size(), 0);
-    sl.views_.reserve(v_widths.size());
-    for (std::size_t l = 0; l < v_widths.size(); ++l) {
-      sl.views_.push_back(PagedKVView(&sl, l));
-    }
     free_slots_.push_back(num_slots - 1 - s);  // pop order: slot 0 first
   }
 }

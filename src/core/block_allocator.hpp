@@ -238,64 +238,13 @@ class BlockAllocator {
 };
 
 class PagedKVPool;
-class PagedKVSlot;
-
-/// Per-layer view of one slot's paged KV (append / used / k_prefix /
-/// v_prefix / truncate / capacity): the decode tick's per-slot attention
-/// step appends and gathers through the block table via this view. All
-/// state lives in the owning PagedKVSlot; the view is two pointers.
-class PagedKVView {
- public:
-  PagedKVView() = default;
-
-  [[nodiscard]] std::size_t capacity() const noexcept;
-  [[nodiscard]] std::size_t used() const noexcept;
-  [[nodiscard]] bool full() const noexcept { return used() == capacity(); }
-  [[nodiscard]] std::size_t k_width() const noexcept;
-  [[nodiscard]] std::size_t v_width() const noexcept;
-  /// Storage precision of the backing pool — the decode tick reads this
-  /// to account 1-byte K/V traffic (plus scale loads) on int8 pools.
-  [[nodiscard]] KvPrecision precision() const noexcept;
-
-  /// Appends one K row and one V row. std::length_error when the
-  /// logical capacity OR the block pool is exhausted (both are the typed
-  /// kv_cache_full stop), std::invalid_argument on a width mismatch,
-  /// checks before writes. Rows inside the slot's shared prefix advance
-  /// the cursor without writing (the resident shared block already holds
-  /// bit-identical content, and may be aliased by other tables).
-  void append(std::span<const float> k_row, std::span<const float> v_row);
-
-  /// Contiguous copies of the filled prefix, gathered through the block
-  /// table — bit-identical to the rows appended, in order (the oracle
-  /// property tests/test_paged_kv.cpp pins across block sizes).
-  [[nodiscard]] tensor::MatrixF k_prefix() const;
-  [[nodiscard]] tensor::MatrixF v_prefix() const;
-
-  /// Cursor-only rollback (no block is freed): safe from the parallel
-  /// per-slot decode section, where freeing would race the allocator.
-  /// Block reclamation happens at slot release or an explicit
-  /// PagedKVSlot::rollback from serial code.
-  void truncate(std::size_t n) noexcept;
-
- private:
-  friend class PagedKVSlot;
-  friend class PagedKVPool;
-  PagedKVView(PagedKVSlot* slot, std::size_t layer)
-      : slot_(slot), layer_(layer) {}
-  PagedKVSlot* slot_ = nullptr;
-  std::size_t layer_ = 0;
-};
 
 /// One serving slot's paged KV state: the block table shared by every
-/// layer, per-layer fill cursors, the shared-prefix bookkeeping, and the
-/// per-layer PagedKVViews handed to the decode tick.
+/// layer, per-layer fill cursors and the shared-prefix bookkeeping. The
+/// decode tick's per-slot attention step appends, gathers and rolls back
+/// through it, one layer index at a time.
 class PagedKVSlot {
  public:
-  [[nodiscard]] std::vector<PagedKVView>& caches() noexcept { return views_; }
-  [[nodiscard]] const std::vector<PagedKVView>& caches() const noexcept {
-    return views_;
-  }
-
   [[nodiscard]] std::size_t used(std::size_t layer) const {
     return used_.at(layer);
   }
@@ -320,13 +269,24 @@ class PagedKVSlot {
   /// appends that follow are pure row writes.
   [[nodiscard]] bool prepare_append();
 
-  /// Per-layer append — PagedKVView::append's implementation.
+  /// Appends one K row and one V row to `layer`. std::length_error when
+  /// the logical capacity OR the block pool is exhausted (both are the
+  /// typed kv_cache_full stop), std::invalid_argument on a width mismatch,
+  /// checks before writes. Rows inside the slot's shared prefix advance
+  /// the cursor without writing (the resident shared block already holds
+  /// bit-identical content, and may be aliased by other tables).
   void append(std::size_t layer, std::span<const float> k_row,
               std::span<const float> v_row);
 
+  /// Contiguous copies of `layer`'s filled prefix, gathered through the
+  /// block table — bit-identical to the rows appended, in order (the
+  /// oracle property tests/test_paged_kv.cpp pins across block sizes).
   [[nodiscard]] tensor::MatrixF k_prefix(std::size_t layer) const;
   [[nodiscard]] tensor::MatrixF v_prefix(std::size_t layer) const;
 
+  /// Cursor-only rollback of `layer` to `n` rows (no block is freed): safe
+  /// from the parallel per-slot decode section, where freeing would race
+  /// the allocator. Block reclamation happens at slot release or rollback.
   void truncate(std::size_t layer, std::size_t n) noexcept;
 
   /// Serial rollback: truncate every layer to `n` rows AND return the blocks
@@ -339,7 +299,6 @@ class PagedKVSlot {
 
  private:
   friend class PagedKVPool;
-  friend class PagedKVView;
 
   /// CoW-split table_[bi], preserving its first `rows` rows. False on
   /// block exhaustion.
@@ -347,7 +306,6 @@ class PagedKVSlot {
   void register_completed_prefix(std::size_t rows_done);
 
   PagedKVPool* pool_ = nullptr;
-  std::vector<PagedKVView> views_;
   std::vector<BlockId> table_;
   std::vector<std::size_t> used_;  // per-layer cursor
   std::size_t shared_rows_ = 0;
@@ -361,7 +319,7 @@ class PagedKVSlot {
   bool in_use_ = false;
 };
 
-/// The one KV store: per-slot acquire/release/caches, the
+/// The one KV store: per-slot acquire/release, the
 /// memory_bytes/used_bytes serving gauges, prompt-aware acquisition that
 /// seeds a slot's table from the prefix trie, and the serial
 /// registration flush.
@@ -375,8 +333,8 @@ class PagedKVPool {
               std::size_t k_width, const std::vector<std::size_t>& v_widths,
               PagedKVOptions opts = {});
 
-  // Slots and their per-layer views hold pointers back into this pool;
-  // relocating it would dangle them.
+  // Slots hold pointers back into this pool; relocating it would dangle
+  // them.
   PagedKVPool(const PagedKVPool&) = delete;
   PagedKVPool& operator=(const PagedKVPool&) = delete;
   PagedKVPool(PagedKVPool&&) = delete;
@@ -434,12 +392,6 @@ class PagedKVPool {
   [[nodiscard]] PagedKVSlot& slot(std::size_t i) { return slots_.at(i); }
   [[nodiscard]] const PagedKVSlot& slot(std::size_t i) const {
     return slots_.at(i);
-  }
-  [[nodiscard]] std::vector<PagedKVView>& caches(std::size_t i) {
-    return slots_.at(i).caches();
-  }
-  [[nodiscard]] const std::vector<PagedKVView>& caches(std::size_t i) const {
-    return slots_.at(i).caches();
   }
 
   /// Serial flush of every slot's completed-prompt-block registrations

@@ -7,6 +7,7 @@
 // vertical fusion (fewer launches, same global traffic for GEMM outputs).
 #pragma once
 
+#include <cmath>
 #include <span>
 #include <string_view>
 
@@ -37,6 +38,14 @@ void residual_add(gpusim::Device& dev, tensor::MatrixF& a,
 void relu(gpusim::Device& dev, tensor::MatrixF& m,
           numeric::Precision p = numeric::Precision::kFp32,
           std::string_view name = "relu");
+
+/// GELU (tanh approximation) of one value: the one formula behind gelu(),
+/// the FFN's bias+GELU GEMM epilogue and train::Gelu.
+[[nodiscard]] inline float gelu_tanh(float v) noexcept {
+  constexpr float kSqrt2OverPi = 0.7978845608028654f;
+  return 0.5f * v *
+         (1.0f + std::tanh(kSqrt2OverPi * (v + 0.044715f * v * v * v)));
+}
 
 /// GELU (tanh approximation) in place.
 void gelu(gpusim::Device& dev, tensor::MatrixF& m,

@@ -7,9 +7,9 @@
 #include <utility>
 
 #include "core/attention_math.hpp"
-#include "kernels/elementwise.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/linear.hpp"
+#include "nn/layer_tail.hpp"
 #include "quant/quantize.hpp"
 
 namespace et::nn {
@@ -24,7 +24,7 @@ struct TickSlot {
 
   std::size_t pool_slot = 0;
   std::size_t request_id = 0;
-  std::vector<core::PagedKVView>* caches = nullptr;
+  core::PagedKVSlot* kv = nullptr;
   std::size_t pre_used = 0;
 
   State state = State::kRunning;
@@ -32,12 +32,14 @@ struct TickSlot {
   tensor::MatrixF hidden;  // 1 × d_model when state == kOk
 };
 
-// Cursor-only: PagedKVView::truncate never frees a block, so this is
+// Cursor-only: PagedKVSlot::truncate never frees a block, so this is
 // safe from the parallel per-slot chunks AND the same-tick per-slot
 // retry after a shared-kernel fault still finds its prepared block in
 // the table. Storage reclamation happens at slot release.
-void rollback(TickSlot& slot) {
-  for (auto& cache : *slot.caches) cache.truncate(slot.pre_used);
+void rollback(TickSlot& slot, std::size_t num_layers) {
+  for (std::size_t l = 0; l < num_layers; ++l) {
+    slot.kv->truncate(l, slot.pre_used);
+  }
   slot.hidden = tensor::MatrixF();
 }
 
@@ -64,7 +66,8 @@ std::int32_t input_token(const GenerationRequest& req,
 /// in shared kernels roll back every live slot and propagate to the
 /// caller, which degrades the tick to per-slot stepping.
 void fused_step(core::ExecContext& ctx, const Model& model,
-                std::vector<TickSlot*> live, tensor::MatrixF rows) {
+                core::KvPrecision kv_precision, std::vector<TickSlot*> live,
+                tensor::MatrixF rows) {
   gpusim::Device& dev = ctx.device();
   const std::vector<EncoderWeights>& layers = model.layers();
   const EncoderOptions& opt = model.options();
@@ -75,8 +78,8 @@ void fused_step(core::ExecContext& ctx, const Model& model,
   kernels::LinearOptions lopt;
   lopt.precision = p;
 
-  const auto rollback_all = [&live]() {
-    for (TickSlot* slot : live) rollback(*slot);
+  const auto rollback_all = [&]() {
+    for (TickSlot* slot : live) rollback(*slot, layers.size());
   };
 
   tensor::MatrixF h = std::move(rows);
@@ -88,11 +91,12 @@ void fused_step(core::ExecContext& ctx, const Model& model,
       // store (docs/attention.md "Weight layouts in the decode path"): the m =
       // x·W_VOᵀ row under the pre-computed fold (§3.1), the condensed v of a
       // condensable row-pruned W_V (§4.3), or a full-width dense v row. Dense
-      // weights fuse into ONE batched GEMM (the A strips — the stacked hidden
-      // rows — staged once for all panels); under the W_VO fold the third panel
-      // is W_VO itself, so the batched projection directly emits the condensed
-      // m rows. Pruned formats keep their specialized kernels, still amortized
-      // across the batch by stacking.
+      // W_Q/W_K fuse with a dense third panel into ONE batched GEMM (the A
+      // strips — the stacked hidden rows — staged once for all panels). That
+      // panel is W_VO under the fold, so the projection directly emits the
+      // condensed m rows, and a dense W_V otherwise. Pruned formats keep
+      // their specialized kernels, still amortized across the batch by
+      // stacking.
       tensor::MatrixF q, k_new, v_new;
       const core::PrecomputedVO* vo =
           w.attn.has_precomputed() ? &w.attn.vo : nullptr;
@@ -101,6 +105,10 @@ void fused_step(core::ExecContext& ctx, const Model& model,
       const auto* dq = std::get_if<sparse::DenseWeight>(&w.attn.wq);
       const auto* dk = std::get_if<sparse::DenseWeight>(&w.attn.wk);
       const auto* dv = std::get_if<sparse::DenseWeight>(&w.attn.wv);
+      const tensor::MatrixF* v_panel =
+          vo != nullptr   ? &vo->weight
+          : dv != nullptr ? &dv->matrix()
+                          : nullptr;
       if (int8) {
         // INT8 keeps the same three-way V split, fused into ONE launch
         // like the dense batched projection (decode is launch-bound —
@@ -113,13 +121,13 @@ void fused_step(core::ExecContext& ctx, const Model& model,
         q = std::move(qkv[0]);
         k_new = std::move(qkv[1]);
         v_new = std::move(qkv[2]);
-      } else if (vo != nullptr && dq != nullptr && dk != nullptr) {
-        auto qkm = kernels::batched_gemm_nt(
-            ctx, h, {&dq->matrix(), &dk->matrix(), &vo->weight}, p, nullptr,
+      } else if (dq != nullptr && dk != nullptr && v_panel != nullptr) {
+        auto qkv = kernels::batched_gemm_nt(
+            ctx, h, {&dq->matrix(), &dk->matrix(), v_panel}, p, nullptr,
             "gen_qkv_batched");
-        q = std::move(qkm[0]);
-        k_new = std::move(qkm[1]);
-        v_new = std::move(qkm[2]);
+        q = std::move(qkv[0]);
+        k_new = std::move(qkv[1]);
+        v_new = std::move(qkv[2]);
       } else if (vo != nullptr) {
         q = kernels::linear(ctx, h, w.attn.wq, lopt, "gen_q_linear").y;
         k_new = kernels::linear(ctx, h, w.attn.wk, lopt, "gen_k_linear").y;
@@ -133,13 +141,6 @@ void fused_step(core::ExecContext& ctx, const Model& model,
         auto res = kernels::linear(ctx, h, w.attn.wv, vopt, "gen_v_linear");
         v_new = std::move(res.y);
         v_kept = std::move(res.nonzero_cols);
-      } else if (dq != nullptr && dk != nullptr && dv != nullptr) {
-        auto qkv = kernels::batched_gemm_nt(
-            ctx, h, {&dq->matrix(), &dk->matrix(), &dv->matrix()}, p, nullptr,
-            "gen_qkv_batched");
-        q = std::move(qkv[0]);
-        k_new = std::move(qkv[1]);
-        v_new = std::move(qkv[2]);
       } else {
         q = kernels::linear(ctx, h, w.attn.wq, lopt, "gen_q_linear").y;
         k_new = kernels::linear(ctx, h, w.attn.wk, lopt, "gen_k_linear").y;
@@ -167,11 +168,11 @@ void fused_step(core::ExecContext& ctx, const Model& model,
           live.size(),
           [&](std::size_t b) {
             TickSlot& slot = *live[b];
-            core::PagedKVView& cache = (*slot.caches)[l];
+            core::PagedKVSlot& kv = *slot.kv;
             gpusim::SlotScope scope(dev, static_cast<int>(slot.pool_slot));
             try {
-              cache.append(k_new.row(b), v_new.row(b));
-              const std::size_t ctx_len = cache.used();
+              kv.append(l, k_new.row(b), v_new.row(b));
+              const std::size_t ctx_len = kv.used(l);
               {
                 auto launch = dev.launch(
                     {.name = "incremental_otf_attention",
@@ -185,7 +186,7 @@ void fused_step(core::ExecContext& ctx, const Model& model,
                 // scales per row under an INT8 pool — the traffic the
                 // halved-footprint cache actually moves.
                 const std::size_t kv_row_bytes =
-                    cache.precision() == core::KvPrecision::kInt8
+                    kv_precision == core::KvPrecision::kInt8
                         ? (d + vw) + 2 * sizeof(float)
                         : (d + vw) * sb;
                 launch.load_bytes(ctx_len * kv_row_bytes);
@@ -201,12 +202,12 @@ void fused_step(core::ExecContext& ctx, const Model& model,
                 step_cfg.seq_len = 1;
                 step_cfg.causal_mask = false;
                 const tensor::MatrixF zb = core::detail::attention_math(
-                    tensor::slice_rows(q, b, 1), cache.k_prefix(),
-                    cache.v_prefix(), vo, v_kept_ptr, step_cfg);
+                    tensor::slice_rows(q, b, 1), kv.k_prefix(l),
+                    kv.v_prefix(l), vo, v_kept_ptr, step_cfg);
                 for (std::size_t c = 0; c < d; ++c) z(b, c) = zb(0, c);
               }
             } catch (const gpusim::KernelFault& f) {
-              rollback(slot);
+              rollback(slot, layers.size());
               slot.state = TickSlot::State::kKernelFault;
               slot.fault_kernel = f.kernel();
               dev.note_fallback({"batched_decode", "retire_slot", f.kernel(),
@@ -216,7 +217,7 @@ void fused_step(core::ExecContext& ctx, const Model& model,
             } catch (const std::length_error&) {
               // A cache filled behind the tick's capacity pre-check:
               // degrade to the same typed kv_cache_full stop.
-              rollback(slot);
+              rollback(slot, layers.size());
               slot.state = TickSlot::State::kKvCacheFull;
               dead[b] = 1;
             }
@@ -247,8 +248,8 @@ void fused_step(core::ExecContext& ctx, const Model& model,
       }
 
       // Shared: output projection (already folded into the cached rows
-      // under W_VO), residual+LN and the MLP over the stacked survivors —
-      // one launch each instead of one per sequence.
+      // under W_VO), then the post-attention block over the stacked
+      // survivors — one launch each instead of one per sequence.
       tensor::MatrixF attn =
           vo != nullptr
               ? std::move(z)
@@ -257,35 +258,13 @@ void fused_step(core::ExecContext& ctx, const Model& model,
                      : kernels::linear(ctx, z, w.attn.wo, lopt,
                                        "gen_out_linear")
                            .y);
-      kernels::fused_residual_layernorm(dev, attn, h, w.ln1_gamma, w.ln1_beta,
-                                        p, "gen_residual_layernorm1");
-      tensor::MatrixF m =
-          int8 ? quant::int8_linear(ctx, attn, ql->ff1, "gen_ff1_int8")
-               : kernels::linear(ctx, attn, w.w_ff1, lopt, "gen_ff1").y;
-      if (!dev.traffic_only()) {
-        constexpr float kSqrt2OverPi = 0.7978845608028654f;
-        for (std::size_t r = 0; r < m.rows(); ++r) {
-          for (std::size_t c = 0; c < m.cols(); ++c) {
-            const float v = m(r, c) + w.b_ff1[c];
-            const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
-            m(r, c) = numeric::round_to_storage(
-                p, 0.5f * v * (1.0f + std::tanh(inner)));
-          }
-        }
-      }
-      tensor::MatrixF y =
-          int8 ? quant::int8_linear(ctx, m, ql->ff2, "gen_ff2_int8")
-               : kernels::linear(ctx, m, w.w_ff2, lopt, "gen_ff2").y;
-      if (!dev.traffic_only()) {
-        for (std::size_t r = 0; r < y.rows(); ++r) {
-          for (std::size_t c = 0; c < y.cols(); ++c) {
-            y(r, c) = numeric::round_to_storage(p, y(r, c) + w.b_ff2[c]);
-          }
-        }
-      }
-      kernels::fused_residual_layernorm(dev, y, attn, w.ln2_gamma, w.ln2_beta,
-                                        p, "gen_residual_layernorm2");
-      h = std::move(y);
+      h = detail::layer_tail(
+          ctx, std::move(attn), h,
+          detail::encoder_tail(w,
+                               {"gen_residual_layernorm1", "gen_ff1",
+                                "gen_ff2", "gen_residual_layernorm2"},
+                               ql),
+          p);
     }
   } catch (...) {
     // A shared kernel failed: no slot can be blamed, so no slot may keep
@@ -432,11 +411,13 @@ void BatchedGenerationScheduler::tick(core::ExecContext& ctx) {
     TickSlot ts;
     ts.pool_slot = s;
     ts.request_id = slots_[s]->request_id;
-    ts.caches = &pool_.caches(s);
+    ts.kv = &kv_slot;
     ts.pre_used = kv_slot.tokens();
     tick_slots.push_back(std::move(ts));
   }
   if (tick_slots.empty()) return;
+
+  const core::KvPrecision kv_precision = pool_.precision();
 
   // Embed every sequence's input at its own context position: prompt
   // tokens first (prefill and decode share this one code path), then the
@@ -463,7 +444,7 @@ void BatchedGenerationScheduler::tick(core::ExecContext& ctx) {
     live.reserve(tick_slots.size());
     for (auto& ts : tick_slots) live.push_back(&ts);
     try {
-      fused_step(ctx, model_, std::move(live), rows);
+      fused_step(ctx, model_, kv_precision, std::move(live), rows);
     } catch (const gpusim::KernelFault& f) {
       // Shared-kernel fault: the aborted batched attempt has no effect
       // (fused_step rolled every slot back). Degrade this tick to
@@ -483,7 +464,8 @@ void BatchedGenerationScheduler::tick(core::ExecContext& ctx) {
       TickSlot& ts = tick_slots[i];
       if (ts.state != TickSlot::State::kRunning) continue;
       try {
-        fused_step(ctx, model_, {&ts}, tensor::slice_rows(rows, i, 1));
+        fused_step(ctx, model_, kv_precision, {&ts},
+                   tensor::slice_rows(rows, i, 1));
       } catch (const gpusim::KernelFault& f) {
         ts.state = TickSlot::State::kKernelFault;
         ts.fault_kernel = f.kernel();

@@ -4,9 +4,8 @@
 #include <random>
 
 #include "kernels/elementwise.hpp"
-#include "kernels/linear.hpp"
+#include "nn/layer_tail.hpp"
 #include "nn/reference.hpp"
-#include "tensor/compare.hpp"
 #include "tensor/random.hpp"
 
 namespace et::nn {
@@ -21,19 +20,6 @@ std::vector<float> random_bias(std::size_t n, std::uint64_t seed) {
   std::vector<float> v(n);
   for (auto& x : v) x = dist(rng);
   return v;
-}
-
-void apply_bias_gelu_host(tensor::MatrixF& h, const std::vector<float>& bias,
-                          Precision p) {
-  constexpr float kSqrt2OverPi = 0.7978845608028654f;
-  for (std::size_t r = 0; r < h.rows(); ++r) {
-    for (std::size_t c = 0; c < h.cols(); ++c) {
-      const float v = h(r, c) + bias[c];
-      const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
-      h(r, c) = numeric::round_to_storage(
-          p, 0.5f * v * (1.0f + std::tanh(inner)));
-    }
-  }
 }
 
 }  // namespace
@@ -104,26 +90,15 @@ tensor::MatrixF decoder_forward(core::ExecContext& ctx,
                                         cross_cfg)
           : core::otf_cross_attention(ctx, h, memory, w.cross_attn,
                                       cross_cfg);
-  kernels::fused_residual_layernorm(dev, c, h, w.ln2_gamma, w.ln2_beta, p,
-                                    "dec_residual_layernorm2");
 
-  // --- MLP (bias+GELU and the second bias folded into GEMM epilogues,
-  // as in the E.T./FasterTransformer encoder path) ---
-  kernels::LinearOptions lopt;
-  lopt.precision = p;
-  tensor::MatrixF m = kernels::linear(ctx, c, w.w_ff1, lopt, "dec_ff1").y;
-  if (!dev.traffic_only()) apply_bias_gelu_host(m, w.b_ff1, p);
-  tensor::MatrixF y = kernels::linear(ctx, m, w.w_ff2, lopt, "dec_ff2").y;
-  if (!dev.traffic_only()) {
-    for (std::size_t r = 0; r < y.rows(); ++r) {
-      for (std::size_t col = 0; col < y.cols(); ++col) {
-        y(r, col) = numeric::round_to_storage(p, y(r, col) + w.b_ff2[col]);
-      }
-    }
-  }
-  kernels::fused_residual_layernorm(dev, y, c, w.ln3_gamma, w.ln3_beta, p,
-                                    "dec_residual_layernorm3");
-  return y;
+  // --- LN2 -> MLP -> LN3: the post-attention block every layer shares ---
+  return detail::layer_tail(
+      ctx, std::move(c), h,
+      {w.w_ff1, w.w_ff2, w.b_ff1, w.b_ff2, w.ln2_gamma, w.ln2_beta,
+       w.ln3_gamma, w.ln3_beta,
+       {"dec_residual_layernorm2", "dec_ff1", "dec_ff2",
+        "dec_residual_layernorm3"}},
+      p);
 }
 
 tensor::MatrixF decoder_stack_forward(core::ExecContext& ctx,
@@ -190,9 +165,6 @@ tensor::MatrixF reference_decoder(const tensor::MatrixF& x,
   layernorm_host(c, w.ln2_gamma, w.ln2_beta);
 
   // MLP in float (the reference attention path already bounds the error).
-  EncoderWeights mlp_only;
-  mlp_only.w_ff1 = w.w_ff1;
-  mlp_only.w_ff2 = w.w_ff2;
   const auto& ff1 = sparse::to_dense(w.w_ff1);
   const auto& ff2 = sparse::to_dense(w.w_ff2);
   tensor::MatrixF m(c.rows(), ff1.rows());

@@ -1,10 +1,15 @@
 #include "nn/encoder.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <random>
+#include <string>
 
 #include "kernels/elementwise.hpp"
 #include "kernels/linear.hpp"
+#include "nn/layer_tail.hpp"
+#include "nn/model.hpp"
+#include "quant/quantize.hpp"
 #include "tensor/random.hpp"
 
 namespace et::nn {
@@ -22,79 +27,14 @@ std::vector<float> small_random_vector(std::size_t n, std::uint64_t seed,
   return v;
 }
 
-void apply_bias_gelu(tensor::MatrixF& h, const std::vector<float>& bias,
+void apply_bias_gelu(tensor::MatrixF& h, std::span<const float> bias,
                      Precision p) {
-  constexpr float kSqrt2OverPi = 0.7978845608028654f;
   for (std::size_t r = 0; r < h.rows(); ++r) {
     for (std::size_t c = 0; c < h.cols(); ++c) {
-      const float v = h(r, c) + bias[c];
-      const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
-      h(r, c) = numeric::round_to_storage(
-          p, 0.5f * v * (1.0f + std::tanh(inner)));
+      h(r, c) =
+          numeric::round_to_storage(p, kernels::gelu_tanh(h(r, c) + bias[c]));
     }
   }
-}
-
-/// MLP + residual + layernorm with pipeline-dependent fusion. Returns the
-/// block output; `x` is the block input (residual source).
-tensor::MatrixF mlp_block(core::ExecContext& ctx, const tensor::MatrixF& x,
-                          const EncoderWeights& w, const EncoderOptions& opt) {
-  gpusim::Device& dev = ctx.device();
-  const Precision p = opt.attn.precision;
-  kernels::LinearOptions lopt;
-  lopt.precision = p;
-
-  tensor::MatrixF h = kernels::linear(ctx, x, w.w_ff1, lopt, "ff1").y;
-  switch (opt.pipeline) {
-    case Pipeline::kModular:
-      // Separate bias and activation kernels.
-      kernels::add_bias(dev, h, w.b_ff1, p, "ff1_bias");
-      kernels::gelu(dev, h, p, "gelu");
-      break;
-    case Pipeline::kTensorRT: {
-      // TensorRT: bias+GELU fused into one epilogue kernel (still a
-      // global round trip of the d_ff-wide activation).
-      auto launch = dev.launch({.name = "ff1_bias_gelu",
-                                .ctas = std::max<std::size_t>(1, h.size() / 4096),
-                                .shared_bytes_per_cta = 0,
-                                .pattern = gpusim::AccessPattern::kStreaming});
-      launch.load_bytes(h.size() * numeric::storage_bytes(p));
-      launch.store_bytes(h.size() * numeric::storage_bytes(p));
-      launch.fp_ops(9 * h.size());
-      launch.finish();
-      if (!dev.traffic_only()) apply_bias_gelu(h, w.b_ff1, p);
-      break;
-    }
-    case Pipeline::kFasterTransformer:
-    case Pipeline::kET:
-      // bias+GELU folded into the GEMM epilogue: zero extra kernels,
-      // zero extra global traffic (the activation is transformed in
-      // registers before the store the GEMM performs anyway).
-      if (!dev.traffic_only()) apply_bias_gelu(h, w.b_ff1, p);
-      break;
-  }
-
-  tensor::MatrixF y = kernels::linear(ctx, h, w.w_ff2, lopt, "ff2").y;
-  switch (opt.pipeline) {
-    case Pipeline::kModular:
-      kernels::add_bias(dev, y, w.b_ff2, p, "ff2_bias");
-      break;
-    case Pipeline::kTensorRT:
-      kernels::add_bias(dev, y, w.b_ff2, p, "ff2_bias_fused");
-      break;
-    case Pipeline::kFasterTransformer:
-    case Pipeline::kET:
-      // Folded into the ff2 GEMM epilogue.
-      if (!dev.traffic_only()) {
-        for (std::size_t r = 0; r < y.rows(); ++r) {
-          for (std::size_t c = 0; c < y.cols(); ++c) {
-            y(r, c) = numeric::round_to_storage(p, y(r, c) + w.b_ff2[c]);
-          }
-        }
-      }
-      break;
-  }
-  return y;
 }
 
 }  // namespace
@@ -151,31 +91,46 @@ tensor::MatrixF encoder_forward(core::ExecContext& ctx,
       break;
   }
 
-  // --- residual + layernorm 1 ---
-  const bool fuse_res_ln = opt.pipeline == Pipeline::kFasterTransformer ||
-                           opt.pipeline == Pipeline::kET;
-  if (fuse_res_ln) {
-    kernels::fused_residual_layernorm(dev, attn_out, x, w.ln1_gamma,
-                                      w.ln1_beta, p, "residual_layernorm1");
-  } else {
-    kernels::residual_add(dev, attn_out, x, p, "attn_residual");
-    kernels::layernorm(dev, attn_out, w.ln1_gamma, w.ln1_beta, 1e-5f, p,
-                       "layernorm1");
+  if (opt.pipeline == Pipeline::kFasterTransformer ||
+      opt.pipeline == Pipeline::kET) {
+    return detail::layer_tail(
+        ctx, std::move(attn_out), x,
+        detail::encoder_tail(w, {"residual_layernorm1", "ff1", "ff2",
+                                 "residual_layernorm2"}),
+        p);
   }
 
-  // --- MLP ---
-  tensor::MatrixF mlp_out = mlp_block(ctx, attn_out, w, opt);
-
-  // --- residual + layernorm 2 ---
-  if (fuse_res_ln) {
-    kernels::fused_residual_layernorm(dev, mlp_out, attn_out, w.ln2_gamma,
-                                      w.ln2_beta, p, "residual_layernorm2");
+  // PyTorch / TensorRT: residual and norm as separate kernels, and the
+  // FFN's bias and activation outside the GEMMs.
+  const bool modular = opt.pipeline == Pipeline::kModular;
+  kernels::residual_add(dev, attn_out, x, p, "attn_residual");
+  kernels::layernorm(dev, attn_out, w.ln1_gamma, w.ln1_beta, 1e-5f, p,
+                     "layernorm1");
+  kernels::LinearOptions lopt;
+  lopt.precision = p;
+  tensor::MatrixF h = kernels::linear(ctx, attn_out, w.w_ff1, lopt, "ff1").y;
+  if (modular) {
+    kernels::add_bias(dev, h, w.b_ff1, p, "ff1_bias");
+    kernels::gelu(dev, h, p, "gelu");
   } else {
-    kernels::residual_add(dev, mlp_out, attn_out, p, "mlp_residual");
-    kernels::layernorm(dev, mlp_out, w.ln2_gamma, w.ln2_beta, 1e-5f, p,
-                       "layernorm2");
+    // TensorRT: bias+GELU fused into one epilogue kernel (still a global
+    // round trip of the d_ff-wide activation).
+    auto launch = dev.launch({.name = "ff1_bias_gelu",
+                              .ctas = std::max<std::size_t>(1, h.size() / 4096),
+                              .shared_bytes_per_cta = 0,
+                              .pattern = gpusim::AccessPattern::kStreaming});
+    launch.load_bytes(h.size() * numeric::storage_bytes(p));
+    launch.store_bytes(h.size() * numeric::storage_bytes(p));
+    launch.fp_ops(9 * h.size());
+    launch.finish();
+    if (!dev.traffic_only()) apply_bias_gelu(h, w.b_ff1, p);
   }
-  return mlp_out;
+  tensor::MatrixF y = kernels::linear(ctx, h, w.w_ff2, lopt, "ff2").y;
+  kernels::add_bias(dev, y, w.b_ff2, p,
+                    modular ? "ff2_bias" : "ff2_bias_fused");
+  kernels::residual_add(dev, y, attn_out, p, "mlp_residual");
+  kernels::layernorm(dev, y, w.ln2_gamma, w.ln2_beta, 1e-5f, p, "layernorm2");
+  return y;
 }
 
 tensor::MatrixF encoder_stack_forward(core::ExecContext& ctx,
@@ -192,8 +147,6 @@ tensor::MatrixF encoder_stack_forward(core::ExecContext& ctx,
 std::vector<tensor::MatrixF> batched_encoder_forward(
     core::ExecContext& ctx, const std::vector<tensor::MatrixF>& batch,
     const EncoderWeights& w, const EncoderOptions& opt) {
-  gpusim::Device& dev = ctx.device();
-  const Precision p = opt.attn.precision;
   std::size_t total_rows = 0;
   for (const auto& x : batch) {
     assert(x.cols() == opt.attn.d_model);
@@ -210,57 +163,77 @@ std::vector<tensor::MatrixF> batched_encoder_forward(
     cfg.seq_len = x.rows();
     const tensor::MatrixF a =
         core::adaptive_attention(ctx, x, w.attn, cfg, opt.adaptive);
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      for (std::size_t c = 0; c < x.cols(); ++c) {
-        stacked(row0 + r, c) = a(r, c);
-        residual_src(row0 + r, c) = x(r, c);
-      }
-    }
+    const std::size_t offset = row0 * x.cols();
+    std::ranges::copy(a.flat(), stacked.flat().begin() + offset);
+    std::ranges::copy(x.flat(), residual_src.flat().begin() + offset);
     row0 += x.rows();
   }
 
   // --- everything else on the stacked activations: one kernel set for
   // the whole batch ---
-  kernels::fused_residual_layernorm(dev, stacked, residual_src, w.ln1_gamma,
-                                    w.ln1_beta, p,
-                                    "batched_residual_layernorm1");
-  tensor::MatrixF mlp_out = [&] {
-    kernels::LinearOptions lopt;
-    lopt.precision = p;
-    tensor::MatrixF h =
-        kernels::linear(ctx, stacked, w.w_ff1, lopt, "batched_ff1").y;
-    if (!dev.traffic_only()) apply_bias_gelu(h, w.b_ff1, p);
-    tensor::MatrixF y =
-        kernels::linear(ctx, h, w.w_ff2, lopt, "batched_ff2").y;
-    if (!dev.traffic_only()) {
-      for (std::size_t r = 0; r < y.rows(); ++r) {
-        for (std::size_t c = 0; c < y.cols(); ++c) {
-          y(r, c) = numeric::round_to_storage(p, y(r, c) + w.b_ff2[c]);
-        }
-      }
-    }
-    return y;
-  }();
-  kernels::fused_residual_layernorm(dev, mlp_out, stacked, w.ln2_gamma,
-                                    w.ln2_beta, p,
-                                    "batched_residual_layernorm2");
+  const tensor::MatrixF y = detail::layer_tail(
+      ctx, std::move(stacked), residual_src,
+      detail::encoder_tail(w, {"batched_residual_layernorm1", "batched_ff1",
+                               "batched_ff2", "batched_residual_layernorm2"}),
+      opt.attn.precision);
 
-  // Unstack.
   std::vector<tensor::MatrixF> out;
   out.reserve(batch.size());
   row0 = 0;
   for (const auto& x : batch) {
-    tensor::MatrixF y(x.rows(), x.cols());
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      for (std::size_t c = 0; c < x.cols(); ++c) {
-        y(r, c) = mlp_out(row0 + r, c);
-      }
-    }
+    out.push_back(tensor::slice_rows(y, row0, x.rows()));
     row0 += x.rows();
-    out.push_back(std::move(y));
   }
   return out;
 }
+
+namespace detail {
+
+LayerTail encoder_tail(const EncoderWeights& w,
+                       std::array<std::string_view, 4> names,
+                       const QuantizedLayer* int8) {
+  return {w.w_ff1,     w.w_ff2,    w.b_ff1,     w.b_ff2, w.ln1_gamma,
+          w.ln1_beta,  w.ln2_gamma, w.ln2_beta, names,   int8};
+}
+
+tensor::MatrixF layer_tail(core::ExecContext& ctx, tensor::MatrixF a,
+                           const tensor::MatrixF& residual, const LayerTail& t,
+                           Precision p) {
+  gpusim::Device& dev = ctx.device();
+  const auto ffn = [&](const tensor::MatrixF& x, const sparse::AnyWeight& w,
+                       const quant::QuantizedWeight* q,
+                       std::string_view name) -> tensor::MatrixF {
+    if (q != nullptr) {
+      return quant::int8_linear(ctx, x, *q, std::string(name) + "_int8");
+    }
+    kernels::LinearOptions lopt;
+    lopt.precision = p;
+    return kernels::linear(ctx, x, w, lopt, name).y;
+  };
+
+  kernels::fused_residual_layernorm(dev, a, residual, t.ln1_gamma, t.ln1_beta,
+                                    p, t.names[0]);
+  // bias+GELU and the second bias are folded into the GEMM epilogues: no
+  // extra kernels and no extra global traffic (the activation is
+  // transformed in registers before the store the GEMM performs anyway).
+  tensor::MatrixF h = ffn(a, t.w_ff1, t.int8 ? &t.int8->ff1 : nullptr,
+                          t.names[1]);
+  if (!dev.traffic_only()) apply_bias_gelu(h, t.b_ff1, p);
+  tensor::MatrixF y = ffn(h, t.w_ff2, t.int8 ? &t.int8->ff2 : nullptr,
+                          t.names[2]);
+  if (!dev.traffic_only()) {
+    for (std::size_t r = 0; r < y.rows(); ++r) {
+      for (std::size_t c = 0; c < y.cols(); ++c) {
+        y(r, c) = numeric::round_to_storage(p, y(r, c) + t.b_ff2[c]);
+      }
+    }
+  }
+  kernels::fused_residual_layernorm(dev, y, a, t.ln2_gamma, t.ln2_beta, p,
+                                    t.names[3]);
+  return y;
+}
+
+}  // namespace detail
 
 EncoderOptions options_for(Pipeline pipeline, const ModelConfig& model,
                            std::size_t seq_len, bool causal_mask) {

@@ -79,7 +79,9 @@ struct EncoderOptions {
 /// pointwise kernels run once over the stacked (Σ seq_i × d) activations,
 /// amortizing weight loads and kernel launches — the throughput-side
 /// trade E.T.'s latency-focused design can serve as a backend for.
-/// opt.attn.seq_len is ignored; each sample uses its own length.
+/// opt.attn.seq_len is ignored (each sample uses its own length), and so
+/// is opt.pipeline: attention is always E.T.'s adaptive dispatch and the
+/// rest is the fused post-attention block.
 [[nodiscard]] std::vector<tensor::MatrixF> batched_encoder_forward(
     core::ExecContext& ctx, const std::vector<tensor::MatrixF>& batch,
     const EncoderWeights& w, const EncoderOptions& opt);

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "kernels/elementwise.hpp"
 #include "nn/positional.hpp"
 #include "tensor/random.hpp"
 
@@ -155,9 +156,7 @@ tensor::MatrixF Gelu::forward(const tensor::MatrixF& x) {
   x_ = x;
   tensor::MatrixF y(x.rows(), x.cols());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const float v = x.flat()[i];
-    const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
-    y.flat()[i] = 0.5f * v * (1.0f + std::tanh(inner));
+    y.flat()[i] = kernels::gelu_tanh(x.flat()[i]);
   }
   return y;
 }

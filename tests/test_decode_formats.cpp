@@ -249,21 +249,21 @@ TEST(DecodeFormats, KvCacheStoresIndependentPlaneWidths) {
   EXPECT_EQ(pool.allocator().bytes_per_block(), 2 * (32 + 8) * sizeof(float));
   EXPECT_EQ(pool.memory_bytes(), 4 * (32 + 8) * sizeof(float));
   const std::size_t s = pool.acquire();
-  et::core::PagedKVView& cache = pool.caches(s)[0];
-  EXPECT_EQ(cache.k_width(), 32u);
-  EXPECT_EQ(cache.v_width(), 8u);
+  et::core::PagedKVSlot& cache = pool.slot(s);
+  EXPECT_EQ(pool.allocator().k_width(), 32u);
+  EXPECT_EQ(pool.allocator().v_width(0), 8u);
 
   const std::vector<float> k(32, 1.0f), v(8, 2.0f), wide(32, 3.0f);
-  cache.append(k, v);
-  EXPECT_EQ(cache.used(), 1u);
+  cache.append(0, k, v);
+  EXPECT_EQ(cache.used(0), 1u);
   EXPECT_EQ(pool.used_bytes(), pool.allocator().bytes_per_block());
   // A full-width V row does not fit a condensed plane; the failed
   // append must leave both planes untouched.
-  EXPECT_THROW(cache.append(k, wide), std::invalid_argument);
-  EXPECT_EQ(cache.used(), 1u);
-  EXPECT_EQ(cache.v_prefix()(0, 0), 2.0f);
-  while (!cache.full()) cache.append(k, v);
-  EXPECT_THROW(cache.append(k, v), std::length_error);
+  EXPECT_THROW(cache.append(0, k, wide), std::invalid_argument);
+  EXPECT_EQ(cache.used(0), 1u);
+  EXPECT_EQ(cache.v_prefix(0)(0, 0), 2.0f);
+  while (cache.used(0) != pool.max_context()) cache.append(0, k, v);
+  EXPECT_THROW(cache.append(0, k, v), std::length_error);
   EXPECT_EQ(pool.used_bytes(), pool.memory_bytes());
   pool.release(s);
   EXPECT_EQ(pool.used_bytes(), 0u);
@@ -280,10 +280,10 @@ TEST(DecodeFormats, KvCachePoolSizesEachLayerIndependently) {
   EXPECT_EQ(pool.allocator().num_blocks(), 4u);
   EXPECT_EQ(pool.memory_bytes(), 2 * 4 * row_bytes);
   const std::size_t slot = pool.acquire();
-  ASSERT_EQ(pool.caches(slot).size(), 2u);
-  EXPECT_EQ(pool.caches(slot)[0].v_width(), 8u);
-  EXPECT_EQ(pool.caches(slot)[1].v_width(), 32u);
-  EXPECT_EQ(pool.caches(slot)[0].k_width(), 32u);
+  ASSERT_EQ(pool.allocator().num_layers(), 2u);
+  EXPECT_EQ(pool.allocator().v_width(0), 8u);
+  EXPECT_EQ(pool.allocator().v_width(1), 32u);
+  EXPECT_EQ(pool.allocator().k_width(), 32u);
   pool.release(slot);
 }
 

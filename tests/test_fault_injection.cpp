@@ -504,14 +504,14 @@ TEST(GenerationSession, StepIsAtomicUnderFaults) {
 TEST(KVCache, TruncateRollsBackAppends) {
   et::core::PagedKVPool pool(1, 4, 2, {2},
                              et::core::PagedKVOptions{.block_tokens = 2});
-  et::core::PagedKVView& cache = pool.caches(pool.acquire())[0];
+  et::core::PagedKVSlot& cache = pool.slot(pool.acquire());
   const float r[] = {1, 2};
-  cache.append(r, r);
-  cache.append(r, r);
-  cache.truncate(1);
-  EXPECT_EQ(cache.used(), 1u);
-  cache.truncate(3);  // beyond used: no-op
-  EXPECT_EQ(cache.used(), 1u);
+  cache.append(0, r, r);
+  cache.append(0, r, r);
+  cache.truncate(0, 1);
+  EXPECT_EQ(cache.used(0), 1u);
+  cache.truncate(0, 3);  // beyond used: no-op
+  EXPECT_EQ(cache.used(0), 1u);
 }
 
 }  // namespace

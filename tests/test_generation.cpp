@@ -64,44 +64,44 @@ std::vector<MatrixF> generate_hidden(et::core::ExecContext& ctx,
   return hidden;
 }
 
-/// A one-layer KV view for the append-contract tests: `capacity` rows of
-/// k_width K and v_width V, in blocks of 2 so appends cross a block.
+/// A one-layer paged KV slot for the append-contract tests: `capacity`
+/// rows of k_width K and v_width V, in blocks of 2 so appends cross a block.
 struct OneCache {
   PagedKVPool pool;
-  et::core::PagedKVView& cache;
+  et::core::PagedKVSlot& cache;
   OneCache(std::size_t capacity, std::size_t k_width, std::size_t v_width)
       : pool(1, capacity, k_width, {v_width},
              PagedKVOptions{.block_tokens = 2}),
-        cache(pool.caches(pool.acquire())[0]) {}
+        cache(pool.slot(pool.acquire())) {}
 };
 
 TEST(KVCache, AppendAndPrefix) {
   OneCache one(4, 3, 3);
   auto& cache = one.cache;
-  EXPECT_EQ(cache.used(), 0u);
+  EXPECT_EQ(cache.used(0), 0u);
   const float k1[] = {1, 2, 3};
   const float v1[] = {4, 5, 6};
-  cache.append(k1, v1);
-  cache.append(v1, k1);
-  cache.append(k1, v1);  // third row lands in the second block
-  EXPECT_EQ(cache.used(), 3u);
-  const auto k = cache.k_prefix();
+  cache.append(0, k1, v1);
+  cache.append(0, v1, k1);
+  cache.append(0, k1, v1);  // third row lands in the second block
+  EXPECT_EQ(cache.used(0), 3u);
+  const auto k = cache.k_prefix(0);
   EXPECT_EQ(k.rows(), 3u);
   EXPECT_EQ(k(0, 2), 3.0f);
   EXPECT_EQ(k(1, 0), 4.0f);
   EXPECT_EQ(k(2, 1), 2.0f);
-  EXPECT_EQ(cache.v_prefix()(1, 2), 3.0f);
-  cache.truncate(0);
-  EXPECT_EQ(cache.used(), 0u);
+  EXPECT_EQ(cache.v_prefix(0)(1, 2), 3.0f);
+  cache.truncate(0, 0);
+  EXPECT_EQ(cache.used(0), 0u);
 }
 
 TEST(KVCache, ThrowsWhenFull) {
   OneCache one(1, 2, 2);
   auto& cache = one.cache;
   const float r[] = {1, 2};
-  cache.append(r, r);
-  EXPECT_TRUE(cache.full());
-  EXPECT_THROW(cache.append(r, r), std::length_error);
+  cache.append(0, r, r);
+  EXPECT_EQ(cache.used(0), one.pool.max_context());
+  EXPECT_THROW(cache.append(0, r, r), std::length_error);
 }
 
 TEST(KVCache, RejectedAppendLeavesBothPlanesUntouched) {
@@ -112,13 +112,13 @@ TEST(KVCache, RejectedAppendLeavesBothPlanesUntouched) {
   const float k1[] = {1, 2, 3};
   const float v1[] = {4, 5, 6};
   const float narrow[] = {7, 8};
-  cache.append(k1, v1);
+  cache.append(0, k1, v1);
 
-  EXPECT_THROW(cache.append(narrow, v1), std::invalid_argument);
-  EXPECT_THROW(cache.append(k1, narrow), std::invalid_argument);
-  EXPECT_EQ(cache.used(), 1u);
-  const auto k = cache.k_prefix();
-  const auto v = cache.v_prefix();
+  EXPECT_THROW(cache.append(0, narrow, v1), std::invalid_argument);
+  EXPECT_THROW(cache.append(0, k1, narrow), std::invalid_argument);
+  EXPECT_EQ(cache.used(0), 1u);
+  const auto k = cache.k_prefix(0);
+  const auto v = cache.v_prefix(0);
   ASSERT_EQ(k.rows(), 1u);
   for (std::size_t c = 0; c < 3; ++c) {
     EXPECT_EQ(k(0, c), k1[c]);
@@ -126,11 +126,11 @@ TEST(KVCache, RejectedAppendLeavesBothPlanesUntouched) {
   }
 
   // The capacity check fires before the width check touches anything.
-  cache.append(v1, k1);
-  EXPECT_THROW(cache.append(k1, narrow), std::length_error);
-  EXPECT_EQ(cache.used(), 2u);
-  EXPECT_EQ(cache.k_prefix()(1, 0), 4.0f);
-  EXPECT_EQ(cache.v_prefix()(1, 0), 1.0f);
+  cache.append(0, v1, k1);
+  EXPECT_THROW(cache.append(0, k1, narrow), std::length_error);
+  EXPECT_EQ(cache.used(0), 2u);
+  EXPECT_EQ(cache.k_prefix(0)(1, 0), 4.0f);
+  EXPECT_EQ(cache.v_prefix(0)(1, 0), 1.0f);
 }
 
 TEST(KVCachePool, RecyclesSlotsAndValidatesRelease) {
@@ -145,10 +145,10 @@ TEST(KVCachePool, RecyclesSlotsAndValidatesRelease) {
   EXPECT_EQ(b, 1u);
   EXPECT_FALSE(pool.has_free());
   EXPECT_THROW((void)pool.acquire(), std::runtime_error);
-  ASSERT_EQ(pool.caches(a).size(), 3u);
+  ASSERT_EQ(pool.allocator().num_layers(), 3u);
 
   const float r[] = {1, 2, 3};
-  pool.caches(a)[0].append(r, r);
+  pool.slot(a).append(0, r, r);
   pool.release(a);
   EXPECT_THROW(pool.release(a), std::invalid_argument);
   EXPECT_THROW(pool.release(99), std::invalid_argument);
@@ -157,7 +157,7 @@ TEST(KVCachePool, RecyclesSlotsAndValidatesRelease) {
   // between sequences.
   const std::size_t again = pool.acquire();
   EXPECT_EQ(again, a);
-  EXPECT_EQ(pool.caches(again)[0].used(), 0u);
+  EXPECT_EQ(pool.slot(again).used(0), 0u);
   EXPECT_TRUE(pool.slot(again).table().empty());
 }
 

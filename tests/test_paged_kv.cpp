@@ -44,7 +44,6 @@ using et::core::kNoPrefixGroup;
 using et::core::PagedKVOptions;
 using et::core::PagedKVPool;
 using et::core::PagedKVSlot;
-using et::core::PagedKVView;
 using et::core::PrefixTrie;
 using et::diff::splitmix64;
 using et::diff::unit_float;
@@ -233,13 +232,13 @@ bool append_position(PagedKVPool& pool, std::size_t s, std::uint64_t key) {
 TEST(PagedKVPool, AppendContractMatchesContiguousCache) {
   PagedKVPool pool(1, 4, kKWidth, {4}, PagedKVOptions{.block_tokens = 2});
   const std::size_t s = pool.acquire();
-  PagedKVView& cache = pool.caches(s)[0];
+  PagedKVSlot& cache = pool.slot(s);
   std::vector<float> k(kKWidth, 1.0f), v(4, 2.0f), bad(3, 0.0f);
-  EXPECT_THROW(cache.append(k, bad), std::invalid_argument);
-  for (int i = 0; i < 4; ++i) cache.append(k, v);
-  EXPECT_TRUE(cache.full());
-  EXPECT_THROW(cache.append(k, v), std::length_error);
-  EXPECT_EQ(cache.used(), 4u);  // checks precede writes and cursor moves
+  EXPECT_THROW(cache.append(0, k, bad), std::invalid_argument);
+  for (int i = 0; i < 4; ++i) cache.append(0, k, v);
+  EXPECT_EQ(cache.used(0), pool.max_context());
+  EXPECT_THROW(cache.append(0, k, v), std::length_error);
+  EXPECT_EQ(cache.used(0), 4u);  // checks precede writes and cursor moves
   pool.release(s);
   EXPECT_EQ(pool.used_bytes(), 0u);
   EXPECT_THROW(pool.release(s), std::invalid_argument);

@@ -1,6 +1,8 @@
 // INT8 quantization and batched (TurboTransformer-style) inference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "gpusim/device.hpp"
 #include "kernels/gemm.hpp"
 #include "nn/encoder.hpp"
@@ -124,22 +126,29 @@ TEST(Batched, MatchesPerSampleForward) {
     batch.push_back(std::move(x));
   }
 
-  auto opt = et::nn::options_for(et::nn::Pipeline::kET, model, 8);
-  opt.attn.precision = et::numeric::Precision::kFp32;
+  // The stacked kernels are row-wise, so every sample's rows are exactly
+  // the rows its own forward pass produces.
+  for (const auto precision :
+       {et::numeric::Precision::kFp32, et::numeric::Precision::kPureFp16}) {
+    SCOPED_TRACE(to_string(precision));
+    auto opt = et::nn::options_for(et::nn::Pipeline::kET, model, 8);
+    opt.attn.precision = precision;
 
-  et::gpusim::Device dev;
-  et::core::ExecContext ctx(dev);
-  const auto outs = et::nn::batched_encoder_forward(ctx, batch, w, opt);
-  ASSERT_EQ(outs.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    auto single_opt = opt;
-    single_opt.attn.seq_len = batch[i].rows();
-    et::gpusim::Device single;
-    et::core::ExecContext single_ctx(single);
-    const MatrixF ref =
-        et::nn::encoder_forward(single_ctx, batch[i], w, single_opt);
-    EXPECT_TRUE(allclose(outs[i], ref, 1e-4, 1e-4))
-        << "sample " << i << " max diff " << max_abs_diff(outs[i], ref);
+    et::gpusim::Device dev;
+    et::core::ExecContext ctx(dev);
+    const auto outs = et::nn::batched_encoder_forward(ctx, batch, w, opt);
+    ASSERT_EQ(outs.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      auto single_opt = opt;
+      single_opt.attn.seq_len = batch[i].rows();
+      et::gpusim::Device single;
+      et::core::ExecContext single_ctx(single);
+      const MatrixF ref =
+          et::nn::encoder_forward(single_ctx, batch[i], w, single_opt);
+      ASSERT_EQ(outs[i].rows(), ref.rows());
+      EXPECT_TRUE(std::ranges::equal(outs[i].flat(), ref.flat()))
+          << "sample " << i << " max diff " << max_abs_diff(outs[i], ref);
+    }
   }
 }
 

@@ -121,6 +121,8 @@ struct ServeParams {
   // final token — the shared-system-prompt workload.
   std::size_t prompt_len = 0;
   std::size_t group_size = 0;
+  // Off: the same prompts carry kNoPrefixGroup, so no request shares.
+  bool share = true;
   et::core::PagedKVOptions kv;
   // Weight-format descriptor handed to nn::Model (nullopt = derive from
   // the weights, the historical behavior); kInt8 serves the quantized
@@ -163,7 +165,7 @@ ServeOutcome run_served(const std::vector<et::nn::EncoderWeights>& layers,
         }
         prompt[p.prompt_len - 1] = static_cast<std::int32_t>(submitted);
         req.prompt_tokens = std::move(prompt);
-        req.prefix_group = group;
+        req.prefix_group = p.share ? group : et::core::kNoPrefixGroup;
         // One embedding identity per group — the contract that makes
         // aliasing another member's KV rows sound.
         req.embed = make_embed(model.d_model(), /*seed=*/31 + group);
@@ -294,7 +296,7 @@ int main(int argc, char** argv) {
         std::to_string(p.retry_budget),
         et::bench::fmt(p.fault_fraction, 3),
         std::to_string(p.kv.block_tokens),
-        p.kv.enable_prefix_sharing ? "on" : "off",
+        p.share ? "on" : "off",
         std::string(et::core::to_string(p.kv.precision)),
         et::bench::fmt(r.time_us, 1),
         et::bench::fmt(r.p99_queue_wait, 1),
@@ -485,7 +487,7 @@ int main(int argc, char** argv) {
     p.group_size = 4;
     p.kv.block_tokens = 2;
     ServeParams off = p;
-    off.kv.enable_prefix_sharing = false;
+    off.share = false;
     const auto a = run_served(layers, opt, p);
     const auto a2 = run_served(layers, opt, p);
     const auto b = run_served(layers, opt, off);

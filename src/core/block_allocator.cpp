@@ -36,46 +36,31 @@ BlockAllocator::BlockAllocator(std::size_t num_blocks, std::size_t block_tokens,
                                std::size_t k_width,
                                const std::vector<std::size_t>& v_widths,
                                KvPrecision precision)
-    : block_tokens_(block_tokens),
-      k_width_(k_width),
-      precision_(precision),
-      v_widths_(v_widths) {
+    : block_tokens_(block_tokens), precision_(precision) {
   if (num_blocks == 0 || block_tokens == 0 || k_width == 0) {
     throw std::invalid_argument(
         "BlockAllocator: num_blocks, block_tokens and k_width must be "
         "nonzero");
   }
-  if (v_widths_.empty()) {
+  if (v_widths.empty()) {
     throw std::invalid_argument("BlockAllocator: v_widths must be non-empty");
   }
   const bool int8 = precision_ == KvPrecision::kInt8;
-  for (const std::size_t vw : v_widths_) {
+  const std::size_t rows = num_blocks * block_tokens;
+  planes_.reserve(2 * v_widths.size());
+  for (const std::size_t vw : v_widths) {
     if (vw == 0) {
       throw std::invalid_argument("BlockAllocator: zero v_width");
     }
-    // kInt8: 1 byte per element plus the two per-row reconstruction
-    // scales (K and V) the block metadata carries.
-    row_bytes_ += int8 ? (k_width + vw) + 2 * sizeof(float)
-                       : (k_width + vw) * sizeof(float);
-  }
-  const std::size_t rows = num_blocks * block_tokens;
-  if (int8) {
-    k8_planes_.reserve(v_widths_.size());
-    v8_planes_.reserve(v_widths_.size());
-    k_scales_.reserve(v_widths_.size());
-    v_scales_.reserve(v_widths_.size());
-    for (const std::size_t vw : v_widths_) {
-      k8_planes_.emplace_back(rows, k_width);
-      v8_planes_.emplace_back(rows, vw);
-      k_scales_.emplace_back(rows, 1.0f);
-      v_scales_.emplace_back(rows, 1.0f);
-    }
-  } else {
-    k_planes_.reserve(v_widths_.size());
-    v_planes_.reserve(v_widths_.size());
-    for (const std::size_t vw : v_widths_) {
-      k_planes_.emplace_back(rows, k_width);
-      v_planes_.emplace_back(rows, vw);
+    for (const std::size_t width : {k_width, vw}) {
+      Plane& p = planes_.emplace_back();
+      p.width = width;
+      p.row_bytes = width * (int8 ? 1 : sizeof(float));
+      p.bytes.resize(rows * p.row_bytes);
+      // kInt8: the per-row reconstruction scale the block metadata
+      // carries, counted in the row's bytes.
+      if (int8) p.scales.assign(rows, 1.0f);
+      row_bytes_ += p.row_bytes + (int8 ? sizeof(float) : 0);
     }
   }
   refs_.assign(num_blocks, 0);
@@ -114,151 +99,52 @@ bool BlockAllocator::release(BlockId block) {
   return true;
 }
 
-namespace {
-[[noreturn]] void throw_raw_row_on_int8(const char* fn) {
-  throw std::logic_error(std::string("BlockAllocator::") + fn +
-                         ": raw FP32 rows do not exist on a kInt8 pool "
-                         "(use store_/load_ row IO)");
-}
-}  // namespace
-
-std::span<float> BlockAllocator::k_row(std::size_t layer, BlockId block,
-                                       std::size_t offset) {
+std::size_t BlockAllocator::row(BlockId block, std::size_t offset) const {
   assert(refs_.at(block) > 0 && offset < block_tokens_);
-  if (precision_ == KvPrecision::kInt8) throw_raw_row_on_int8("k_row");
-  tensor::MatrixF& plane = k_planes_.at(layer);
-  return plane.row(block * block_tokens_ + offset);
+  return block * block_tokens_ + offset;
 }
 
-std::span<const float> BlockAllocator::k_row(std::size_t layer, BlockId block,
-                                             std::size_t offset) const {
-  assert(refs_.at(block) > 0 && offset < block_tokens_);
-  if (precision_ == KvPrecision::kInt8) throw_raw_row_on_int8("k_row");
-  const tensor::MatrixF& plane = k_planes_.at(layer);
-  return plane.row(block * block_tokens_ + offset);
-}
-
-std::span<float> BlockAllocator::v_row(std::size_t layer, BlockId block,
-                                       std::size_t offset) {
-  assert(refs_.at(block) > 0 && offset < block_tokens_);
-  if (precision_ == KvPrecision::kInt8) throw_raw_row_on_int8("v_row");
-  tensor::MatrixF& plane = v_planes_.at(layer);
-  return plane.row(block * block_tokens_ + offset);
-}
-
-std::span<const float> BlockAllocator::v_row(std::size_t layer, BlockId block,
-                                             std::size_t offset) const {
-  assert(refs_.at(block) > 0 && offset < block_tokens_);
-  if (precision_ == KvPrecision::kInt8) throw_raw_row_on_int8("v_row");
-  const tensor::MatrixF& plane = v_planes_.at(layer);
-  return plane.row(block * block_tokens_ + offset);
-}
-
-void BlockAllocator::store_k_row(std::size_t layer, BlockId block,
-                                 std::size_t offset,
-                                 std::span<const float> src) {
-  assert(refs_.at(block) > 0 && offset < block_tokens_ &&
-         src.size() == k_width_);
-  const std::size_t r = block * block_tokens_ + offset;
-  if (precision_ == KvPrecision::kInt8) {
-    quantize_row(src, k8_planes_.at(layer).row(r).data(),
-                 k_scales_[layer][r]);
+void BlockAllocator::store(Plane& p, std::size_t r,
+                           std::span<const float> src) {
+  assert(src.size() == p.width);
+  std::int8_t* dst = p.bytes.data() + r * p.row_bytes;
+  if (p.scales.empty()) {
+    std::memcpy(dst, src.data(), p.row_bytes);
   } else {
-    std::memcpy(k_planes_.at(layer).row(r).data(), src.data(),
-                src.size() * sizeof(float));
+    quantize_row(src, dst, p.scales[r]);
   }
 }
 
-void BlockAllocator::store_v_row(std::size_t layer, BlockId block,
-                                 std::size_t offset,
-                                 std::span<const float> src) {
-  assert(refs_.at(block) > 0 && offset < block_tokens_ &&
-         src.size() == v_widths_.at(layer));
-  const std::size_t r = block * block_tokens_ + offset;
-  if (precision_ == KvPrecision::kInt8) {
-    quantize_row(src, v8_planes_.at(layer).row(r).data(),
-                 v_scales_[layer][r]);
-  } else {
-    std::memcpy(v_planes_.at(layer).row(r).data(), src.data(),
-                src.size() * sizeof(float));
+void BlockAllocator::load(const Plane& p, std::size_t r,
+                          std::span<float> dst) {
+  assert(dst.size() == p.width);
+  const std::int8_t* src = p.bytes.data() + r * p.row_bytes;
+  if (p.scales.empty()) {
+    std::memcpy(dst.data(), src, p.row_bytes);
+    return;
+  }
+  const float scale = p.scales[r];
+  for (std::size_t c = 0; c < dst.size(); ++c) {
+    dst[c] = static_cast<float>(src[c]) * scale;
   }
 }
 
-void BlockAllocator::load_k_row(std::size_t layer, BlockId block,
-                                std::size_t offset,
-                                std::span<float> dst) const {
-  assert(refs_.at(block) > 0 && offset < block_tokens_ &&
-         dst.size() == k_width_);
-  const std::size_t r = block * block_tokens_ + offset;
-  if (precision_ == KvPrecision::kInt8) {
-    const auto q = k8_planes_.at(layer).row(r);
-    const float scale = k_scales_[layer][r];
-    for (std::size_t c = 0; c < dst.size(); ++c) {
-      dst[c] = static_cast<float>(q[c]) * scale;
-    }
-  } else {
-    const auto s = k_planes_.at(layer).row(r);
-    std::memcpy(dst.data(), s.data(), dst.size() * sizeof(float));
-  }
-}
-
-void BlockAllocator::load_v_row(std::size_t layer, BlockId block,
-                                std::size_t offset,
-                                std::span<float> dst) const {
-  assert(refs_.at(block) > 0 && offset < block_tokens_ &&
-         dst.size() == v_widths_.at(layer));
-  const std::size_t r = block * block_tokens_ + offset;
-  if (precision_ == KvPrecision::kInt8) {
-    const auto q = v8_planes_.at(layer).row(r);
-    const float scale = v_scales_[layer][r];
-    for (std::size_t c = 0; c < dst.size(); ++c) {
-      dst[c] = static_cast<float>(q[c]) * scale;
-    }
-  } else {
-    const auto s = v_planes_.at(layer).row(r);
-    std::memcpy(dst.data(), s.data(), dst.size() * sizeof(float));
-  }
-}
-
-float BlockAllocator::k_row_scale(std::size_t layer, BlockId block,
-                                  std::size_t offset) const {
-  if (precision_ != KvPrecision::kInt8) return 1.0f;
-  return k_scales_.at(layer).at(block * block_tokens_ + offset);
-}
-
-float BlockAllocator::v_row_scale(std::size_t layer, BlockId block,
-                                  std::size_t offset) const {
-  if (precision_ != KvPrecision::kInt8) return 1.0f;
-  return v_scales_.at(layer).at(block * block_tokens_ + offset);
+float BlockAllocator::scale(const Plane& p, std::size_t r) {
+  return p.scales.empty() ? 1.0f : p.scales[r];
 }
 
 void BlockAllocator::copy_rows(BlockId from, BlockId to, std::size_t rows) {
-  assert(rows <= block_tokens_);
-  if (precision_ == KvPrecision::kInt8) {
-    // Verbatim int8 + scale copy — re-quantizing a reconstruction would
-    // compound error and break the CoW-is-invisible contract.
-    for (std::size_t l = 0; l < num_layers(); ++l) {
-      const std::size_t fb = from * block_tokens_;
-      const std::size_t tb = to * block_tokens_;
-      for (std::size_t r = 0; r < rows; ++r) {
-        const auto ks = k8_planes_[l].row(fb + r);
-        const auto vs = v8_planes_[l].row(fb + r);
-        std::memcpy(k8_planes_[l].row(tb + r).data(), ks.data(), ks.size());
-        std::memcpy(v8_planes_[l].row(tb + r).data(), vs.data(), vs.size());
-        k_scales_[l][tb + r] = k_scales_[l][fb + r];
-        v_scales_[l][tb + r] = v_scales_[l][fb + r];
-      }
-    }
-    return;
-  }
-  for (std::size_t l = 0; l < num_layers(); ++l) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      const auto ks = k_row(l, from, r);
-      const auto vs = v_row(l, from, r);
-      std::memcpy(k_row(l, to, r).data(), ks.data(),
-                  ks.size() * sizeof(float));
-      std::memcpy(v_row(l, to, r).data(), vs.data(),
-                  vs.size() * sizeof(float));
+  assert(rows <= block_tokens_ && from != to);
+  const std::size_t f = from * block_tokens_;
+  const std::size_t t = to * block_tokens_;
+  // A block's rows are contiguous in every plane. Bytes and scales are
+  // copied verbatim — re-quantizing a reconstruction would compound error
+  // and break the CoW-is-invisible contract.
+  for (Plane& p : planes_) {
+    std::memcpy(p.bytes.data() + t * p.row_bytes,
+                p.bytes.data() + f * p.row_bytes, rows * p.row_bytes);
+    if (!p.scales.empty()) {
+      std::copy_n(p.scales.begin() + f, rows, p.scales.begin() + t);
     }
   }
 }
@@ -278,28 +164,29 @@ bool PagedKVSlot::cow_block(std::size_t bi, std::size_t rows) {
 }
 
 bool PagedKVSlot::prepare_append() {
-  const std::size_t pos = tokens();
-  if (pos >= pool_->max_context_) return true;  // caller's capacity stop
-  if (pos < shared_rows_) return true;  // row resident in a shared block
-  const std::size_t bt = pool_->alloc_.block_tokens();
-  const std::size_t bi = pos / bt;
-  const std::size_t off = pos % bt;
-  if (bi == table_.size()) {
-    const auto b = pool_->alloc_.allocate();
-    if (!b) return false;
-    table_.push_back(*b);
-  } else if (pool_->alloc_.ref_count(table_[bi]) > 1) {
-    // Another table aliases this block (a shared prefix about to
-    // diverge, or a later arrival that seeded off our prompt): never
-    // write a block with refcount > 1 — split it, preserving the rows
-    // already decoded into it.
-    if (!cow_block(bi, off)) return false;
+  const std::size_t pos = rows_;
+  if (pos >= pool_->max_context_) return false;
+  // A row below shared_rows_ is already resident in a seeded shared block.
+  if (pos >= shared_rows_) {
+    const std::size_t bt = pool_->alloc_.block_tokens();
+    const std::size_t bi = pos / bt;
+    const std::size_t off = pos % bt;
+    if (bi == table_.size()) {
+      const auto b = pool_->alloc_.allocate();
+      if (!b) return false;
+      table_.push_back(*b);
+    } else if (pool_->alloc_.ref_count(table_[bi]) > 1) {
+      // Another table aliases this block (a shared prefix about to
+      // diverge, or a later arrival that seeded off our prompt): never
+      // write a block with refcount > 1 — split it, preserving the rows
+      // already committed to it.
+      if (!cow_block(bi, off)) return false;
+    }
+    // About to overwrite row `off`: any trie advertisement claiming more
+    // rows of this block no longer describes its contents.
+    pool_->trie_.invalidate(table_[bi], off);
   }
-  // About to overwrite row `off`: any trie advertisement claiming more
-  // rows of this block no longer describes its contents. Done here, in
-  // the serial phase, so the parallel appends' own invalidate calls find
-  // nothing to erase (read-only scans).
-  pool_->trie_.invalidate(table_[bi], off);
+  prepared_ = true;
   return true;
 }
 
@@ -308,12 +195,16 @@ void PagedKVSlot::append(std::size_t layer, std::span<const float> k_row,
   BlockAllocator& alloc = pool_->alloc_;
   const std::size_t kw = alloc.k_width();
   const std::size_t vw = alloc.v_width(layer);
-  const std::size_t pos = used_.at(layer);
-  // Checks precede any write or cursor move: a rejected append leaves
-  // both planes and the cursor untouched.
+  const std::size_t pos = rows_;
+  // Checks precede any write: a rejected append leaves both planes
+  // untouched.
   if (pos >= pool_->max_context_) {
     throw std::length_error("PagedKVSlot::append: cache is full (" +
                             std::to_string(pool_->max_context_) + " rows)");
+  }
+  if (!prepared_) {
+    throw std::logic_error("PagedKVSlot::append: row " + std::to_string(pos) +
+                           " was not prepared (call prepare_append first)");
   }
   if (k_row.size() != kw || v_row.size() != vw) {
     throw std::invalid_argument(
@@ -322,101 +213,66 @@ void PagedKVSlot::append(std::size_t layer, std::span<const float> k_row,
         ", cache k " + std::to_string(kw) + ", cache v " + std::to_string(vw) +
         ")");
   }
-  if (pos < shared_rows_) {
-    // The row is already resident in a seeded shared block, bit-identical
-    // by the prefix_group contract — advance past it without writing
-    // (the block may be aliased by other tables). The decode tick still
-    // computed this position's math, so transcripts, launches and device
-    // time are identical with sharing on or off; only memory changes.
-    ++used_[layer];
-    if (layer + 1 == alloc.num_layers()) register_completed_prefix(pos + 1);
-    return;
-  }
+  // A row below shared_rows_ is already resident in a seeded shared
+  // block, bit-identical by the prefix_group contract, and the block may
+  // be aliased by other tables: skip the write. The decode tick still
+  // computed this position's math, so transcripts, launches and device
+  // time are identical with sharing on or off; only memory changes.
+  if (pos < shared_rows_) return;
   const std::size_t bt = alloc.block_tokens();
-  const std::size_t bi = pos / bt;
-  const std::size_t off = pos % bt;
-  if (bi == table_.size()) {
-    // Serial fallback for direct users — the scheduler's prepare_append
-    // pre-allocates, so the batched parallel section never takes this
-    // branch (allocator mutation would race across slot chunks).
-    const auto b = pool_->alloc_.allocate();
-    if (!b) {
-      throw std::length_error(
-          "PagedKVSlot::append: block pool exhausted (kv_cache_full)");
-    }
-    table_.push_back(*b);
-  } else if (alloc.ref_count(table_[bi]) > 1) {
-    if (!cow_block(bi, off)) {
-      throw std::length_error(
-          "PagedKVSlot::append: block pool exhausted (kv_cache_full)");
-    }
-  }
-  pool_->trie_.invalidate(table_[bi], off);  // no-op after prepare_append
-  const BlockId b = table_[bi];
+  const BlockId b = table_[pos / bt];
   // Precision-aware row write: a plain copy on fp32 pools, a
   // deterministic per-row quantization (scale recorded in the block
-  // metadata) on int8 ones. Still a pure row write — safe from the
-  // parallel decode section.
-  alloc.store_k_row(layer, b, off, k_row);
-  alloc.store_v_row(layer, b, off, v_row);
-  ++used_[layer];
-  if (layer + 1 == alloc.num_layers()) register_completed_prefix(pos + 1);
+  // metadata) on int8 ones.
+  alloc.store_k_row(layer, b, pos % bt, k_row);
+  alloc.store_v_row(layer, b, pos % bt, v_row);
 }
 
-void PagedKVSlot::register_completed_prefix(std::size_t rows_done) {
-  if (group_ == kNoPrefixGroup || !pool_->sharing_) return;
-  const std::size_t n = prompt_.size();
-  if (rows_done == 0 || rows_done > n) return;
+void PagedKVSlot::commit() {
+  if (!prepared_) {
+    throw std::logic_error("PagedKVSlot::commit: no prepared row");
+  }
+  prepared_ = false;
+  const std::size_t done = ++rows_;
+  if (group_ == kNoPrefixGroup || done > prompt_.size()) return;
   const std::size_t bt = pool_->alloc_.block_tokens();
-  if (rows_done == n || rows_done % bt == 0) {
-    // The block holding row rows_done-1 now carries its full share of
-    // the prompt. Advertising is deferred to the serial flush — this
-    // runs inside the parallel decode section.
-    pending_.emplace_back(rows_done, table_[(rows_done - 1) / bt]);
+  if (done == prompt_.size() || done % bt == 0) {
+    // The block holding row done-1 now carries its full share of the
+    // prompt. Advertising waits for the serial flush, before the next
+    // admissions look the prefix up.
+    pending_.emplace_back(done, table_[(done - 1) / bt]);
   }
 }
 
-tensor::MatrixF PagedKVSlot::k_prefix(std::size_t layer) const {
+std::size_t PagedKVSlot::checked_rows(std::size_t rows) const {
+  if (rows > rows_ + (prepared_ ? 1 : 0)) {
+    throw std::out_of_range("PagedKVSlot: gather of " + std::to_string(rows) +
+                            " rows past the " + std::to_string(rows_) +
+                            " committed");
+  }
+  return rows;
+}
+
+tensor::MatrixF PagedKVSlot::k_prefix(std::size_t layer,
+                                      std::size_t rows) const {
   const BlockAllocator& alloc = pool_->alloc_;
   const std::size_t bt = alloc.block_tokens();
-  const std::size_t used = used_.at(layer);
-  tensor::MatrixF out(used, alloc.k_width());
-  for (std::size_t r = 0; r < used; ++r) {
+  tensor::MatrixF out(checked_rows(rows), alloc.k_width());
+  for (std::size_t r = 0; r < rows; ++r) {
     alloc.load_k_row(layer, table_[r / bt], r % bt, out.row(r));
   }
   return out;
 }
 
-tensor::MatrixF PagedKVSlot::v_prefix(std::size_t layer) const {
+tensor::MatrixF PagedKVSlot::v_prefix(std::size_t layer,
+                                      std::size_t rows) const {
   const BlockAllocator& alloc = pool_->alloc_;
   const std::size_t bt = alloc.block_tokens();
-  const std::size_t used = used_.at(layer);
-  tensor::MatrixF out(used, alloc.v_width(layer));
-  for (std::size_t r = 0; r < used; ++r) {
+  tensor::MatrixF out(checked_rows(rows), alloc.v_width(layer));
+  for (std::size_t r = 0; r < rows; ++r) {
     alloc.load_v_row(layer, table_[r / bt], r % bt, out.row(r));
   }
   return out;
-}
-
-void PagedKVSlot::truncate(std::size_t layer, std::size_t n) noexcept {
-  if (n < used_[layer]) used_[layer] = n;
-}
-
-void PagedKVSlot::rollback(std::size_t n) {
-  for (std::size_t l = 0; l < used_.size(); ++l) truncate(l, n);
-  const std::size_t bt = pool_->alloc_.block_tokens();
-  // ceil(n / bt) blocks hold rows [0, n): a rollback landing exactly ON
-  // a block boundary keeps no part of the boundary block, so it frees —
-  // keeping `n / bt + 1` here is the partial-block leak the regression
-  // suite pins. Seeded shared blocks are floored in: their rows stay
-  // resident (appends below shared_rows_ skip the write and rely on
-  // them).
-  const std::size_t keep = std::max(seeded_blocks_, (n + bt - 1) / bt);
-  while (table_.size() > keep) {
-    pool_->release_block(table_.back());
-    table_.pop_back();
-  }
-  std::erase_if(pending_, [n](const auto& p) { return p.first > n; });
 }
 
 // ---------------------------------------------------------------------------
@@ -443,17 +299,14 @@ PagedKVPool::PagedKVPool(std::size_t num_slots, std::size_t max_context,
       // Whole-context blocks (the contiguous layout) cannot share a
       // proper prefix without copying everything, so sharing is
       // meaningful only when a block is smaller than the context.
-      sharing_(opts.enable_prefix_sharing &&
-               alloc_.block_tokens() < max_context) {
+      sharing_(alloc_.block_tokens() < max_context) {
   if (num_slots == 0) {
     throw std::invalid_argument("PagedKVPool: num_slots must be nonzero");
   }
   slots_.resize(num_slots);
   free_slots_.reserve(num_slots);
   for (std::size_t s = 0; s < num_slots; ++s) {
-    PagedKVSlot& sl = slots_[s];
-    sl.pool_ = this;
-    sl.used_.assign(v_widths.size(), 0);
+    slots_[s].pool_ = this;
     free_slots_.push_back(num_slots - 1 - s);  // pop order: slot 0 first
   }
 }
@@ -464,14 +317,7 @@ std::size_t PagedKVPool::acquire() {
   }
   const std::size_t s = free_slots_.back();
   free_slots_.pop_back();
-  PagedKVSlot& sl = slots_[s];
-  assert(sl.table_.empty() && sl.pending_.empty());
-  for (auto& u : sl.used_) u = 0;
-  sl.shared_rows_ = 0;
-  sl.seeded_blocks_ = 0;
-  sl.group_ = kNoPrefixGroup;
-  sl.prompt_.clear();
-  sl.in_use_ = true;
+  assert(slots_[s].table_.empty() && slots_[s].tokens() == 0);
   return s;
 }
 
@@ -493,38 +339,33 @@ std::size_t PagedKVPool::acquire(std::uint64_t group,
     alloc_.add_ref(b);
     sl.table_.push_back(b);
   }
-  // Cursors stay at ZERO: the decode tick recomputes every shared
+  // The row count stays at ZERO: the decode tick recomputes every shared
   // position's math (identical launches and device time with sharing on
   // or off — the sharing-differential's bit-identical-metrics contract);
   // appends below shared_rows_ just skip the write. Sharing buys memory,
   // not ticks.
   sl.shared_rows_ = m.tokens;
-  sl.seeded_blocks_ = sl.table_.size();
   ++stats_.prefix_hits;
   stats_.prefix_shared_tokens += m.tokens;
   return s;
 }
 
 void PagedKVPool::release(std::size_t slot) {
-  if (slot >= slots_.size() || !slots_[slot].in_use_) {
+  if (slot >= slots_.size() ||
+      std::find(free_slots_.begin(), free_slots_.end(), slot) !=
+          free_slots_.end()) {
     throw std::invalid_argument("PagedKVPool::release: slot " +
                                 std::to_string(slot) +
                                 " is not an acquired slot");
   }
-  PagedKVSlot& sl = slots_[slot];
   // Preemption, retry-recompute, cancel and normal retirement all end
   // here: REFCOUNT DECREMENT per table entry, not slot truncation. A
   // block a later request still aliases survives; the rest free (and
   // drop out of the trie), so a drained pool is back to zero used bytes.
-  for (const BlockId b : sl.table_) release_block(b);
-  sl.table_.clear();
-  sl.pending_.clear();
-  sl.prompt_.clear();
-  sl.group_ = kNoPrefixGroup;
-  sl.shared_rows_ = 0;
-  sl.seeded_blocks_ = 0;
-  for (auto& u : sl.used_) u = 0;
-  sl.in_use_ = false;
+  // An uncommitted position goes with its slot.
+  for (const BlockId b : slots_[slot].table_) release_block(b);
+  slots_[slot] = PagedKVSlot();
+  slots_[slot].pool_ = this;
   free_slots_.push_back(slot);
 }
 
@@ -533,9 +374,7 @@ void PagedKVPool::release_block(BlockId b) {
 }
 
 void PagedKVPool::flush_registrations() {
-  if (!sharing_) return;
   for (PagedKVSlot& sl : slots_) {  // slot order: deterministic
-    if (!sl.in_use_) continue;
     for (const auto& [prefix_len, block] : sl.pending_) {
       trie_.insert(sl.group_,
                    std::span<const std::int32_t>(sl.prompt_.data(), prefix_len),

@@ -19,7 +19,8 @@
 // scheduler's SERIAL prepare phase (PagedKVSlot::prepare_append, called
 // slot-by-slot before the parallel decode section) and the free list is
 // LIFO — the same script yields the same block ids at any thread count.
-// The parallel per-slot appends are then pure row writes.
+// The parallel per-slot appends are then pure row writes, and a position
+// becomes part of a slot's context only at its serial commit().
 #pragma once
 
 #include <cstddef>
@@ -69,7 +70,9 @@ enum class KvPrecision : std::uint8_t { kFp32, kInt8 };
 /// Default KV block granularity (tokens per block).
 inline constexpr std::size_t kDefaultKvBlockTokens = 16;
 
-/// Paged-pool shape knobs, carried alongside the model geometry.
+/// Paged-pool shape knobs, carried alongside the model geometry. Prefix
+/// sharing is not a pool knob: a request opts in through its
+/// DecodeParams::prefix_group (kNoPrefixGroup, the default, opts out).
 struct PagedKVOptions {
   /// Rows per block (nonzero; BlockAllocator rejects 0). A block as long
   /// as max_context is the contiguous layout: one block per slot, and
@@ -82,10 +85,6 @@ struct PagedKVOptions {
   /// ceil(max_context/block_tokens) blocks). Smaller values make block
   /// exhaustion a reachable, typed kv_cache_full stop.
   std::size_t num_blocks = 0;
-  /// Admission-time prompt-prefix sharing (the trie + CoW machinery).
-  /// Off: every request fills private blocks; transcripts and device
-  /// traffic are identical either way — sharing changes memory only.
-  bool enable_prefix_sharing = true;
   /// Plane storage precision. kInt8 shrinks every KV element from 4
   /// bytes to 1 (+ one FP32 scale per row per plane in block metadata),
   /// so kv_bytes / kv_bytes_used drop to roughly a quarter of the fp32
@@ -121,11 +120,13 @@ class BlockAllocator {
     return block_tokens_;
   }
   [[nodiscard]] std::size_t num_layers() const noexcept {
-    return v_widths_.size();
+    return planes_.size() / 2;
   }
-  [[nodiscard]] std::size_t k_width() const noexcept { return k_width_; }
+  [[nodiscard]] std::size_t k_width() const noexcept {
+    return planes_[0].width;
+  }
   [[nodiscard]] std::size_t v_width(std::size_t layer) const {
-    return v_widths_.at(layer);
+    return planes_.at(2 * layer + 1).width;
   }
 
   [[nodiscard]] std::size_t free_blocks() const noexcept {
@@ -170,40 +171,40 @@ class BlockAllocator {
     return refs_.at(block);
   }
 
-  /// Raw FP32 row accessors: row `offset` (< block_tokens) of `block` in
-  /// `layer`. Only meaningful on kFp32 pools (throws std::logic_error on
-  /// kInt8 ones — int8 rows are reached through store_/load_ below, which
-  /// own the scale bookkeeping).
-  [[nodiscard]] std::span<float> k_row(std::size_t layer, BlockId block,
-                                       std::size_t offset);
-  [[nodiscard]] std::span<const float> k_row(std::size_t layer, BlockId block,
-                                             std::size_t offset) const;
-  [[nodiscard]] std::span<float> v_row(std::size_t layer, BlockId block,
-                                       std::size_t offset);
-  [[nodiscard]] std::span<const float> v_row(std::size_t layer, BlockId block,
-                                             std::size_t offset) const;
-
-  /// Precision-aware row IO. store_* writes `src` in the pool's storage
-  /// precision — a plain copy under kFp32; under kInt8 a symmetric
-  /// round-to-nearest quantization against the row's own amax with the
-  /// reconstruction scale recorded in the block metadata. load_* fills
-  /// `dst` with the FP32 reconstruction (exact under kFp32, q·scale
+  /// Precision-aware row IO: one store and one load routine serve the K
+  /// and V planes of both precisions. store_* writes `src` in the pool's
+  /// storage precision — a plain copy under kFp32; under kInt8 a
+  /// symmetric round-to-nearest quantization against the row's own amax
+  /// with the reconstruction scale recorded in the block metadata. load_*
+  /// fills `dst` with the FP32 reconstruction (exact under kFp32, q·scale
   /// under kInt8). Spans must match the plane width.
   void store_k_row(std::size_t layer, BlockId block, std::size_t offset,
-                   std::span<const float> src);
+                   std::span<const float> src) {
+    store(planes_.at(2 * layer), row(block, offset), src);
+  }
   void store_v_row(std::size_t layer, BlockId block, std::size_t offset,
-                   std::span<const float> src);
+                   std::span<const float> src) {
+    store(planes_.at(2 * layer + 1), row(block, offset), src);
+  }
   void load_k_row(std::size_t layer, BlockId block, std::size_t offset,
-                  std::span<float> dst) const;
+                  std::span<float> dst) const {
+    load(planes_.at(2 * layer), row(block, offset), dst);
+  }
   void load_v_row(std::size_t layer, BlockId block, std::size_t offset,
-                  std::span<float> dst) const;
+                  std::span<float> dst) const {
+    load(planes_.at(2 * layer + 1), row(block, offset), dst);
+  }
 
   /// Reconstruction scale stored for a row (1.0 on kFp32 pools) — the
   /// per-block metadata the quant property suite reconstructs against.
   [[nodiscard]] float k_row_scale(std::size_t layer, BlockId block,
-                                  std::size_t offset) const;
+                                  std::size_t offset) const {
+    return scale(planes_.at(2 * layer), row(block, offset));
+  }
   [[nodiscard]] float v_row_scale(std::size_t layer, BlockId block,
-                                  std::size_t offset) const;
+                                  std::size_t offset) const {
+    return scale(planes_.at(2 * layer + 1), row(block, offset));
+  }
 
   /// CoW split: copy the first `rows` rows of every layer's planes from
   /// `from` into `to` (including the per-row scales on kInt8 pools — a
@@ -219,20 +220,27 @@ class BlockAllocator {
   }
 
  private:
+  /// One layer's K or V plane: num_blocks * block_tokens rows of `width`
+  /// elements in the pool's storage precision — 4-byte floats under
+  /// kFp32, int8 plus one FP32 reconstruction scale per row under kInt8
+  /// (`scales` is empty under kFp32).
+  struct Plane {
+    std::size_t width = 0;
+    std::size_t row_bytes = 0;  // width * element bytes
+    std::vector<std::int8_t> bytes;
+    std::vector<float> scales;
+  };
+
+  /// Plane row index of (block, offset).
+  [[nodiscard]] std::size_t row(BlockId block, std::size_t offset) const;
+  static void store(Plane& p, std::size_t row, std::span<const float> src);
+  static void load(const Plane& p, std::size_t row, std::span<float> dst);
+  static float scale(const Plane& p, std::size_t row);
+
   std::size_t block_tokens_;
-  std::size_t k_width_;
   std::size_t row_bytes_ = 0;  // Σ_l (k_width + v_width_l) * elem + scales
   KvPrecision precision_ = KvPrecision::kFp32;
-  std::vector<std::size_t> v_widths_;
-  // Exactly one plane family is populated, per precision_.
-  std::vector<tensor::MatrixF> k_planes_;  // per layer: num_blocks*bt rows
-  std::vector<tensor::MatrixF> v_planes_;
-  std::vector<tensor::Matrix<std::int8_t>> k8_planes_;
-  std::vector<tensor::Matrix<std::int8_t>> v8_planes_;
-  // kInt8 block metadata: one reconstruction scale per row per plane,
-  // indexed [layer][block * block_tokens + offset].
-  std::vector<std::vector<float>> k_scales_;
-  std::vector<std::vector<float>> v_scales_;
+  std::vector<Plane> planes_;        // [2l] = layer l's K, [2l + 1] its V
   std::vector<std::uint32_t> refs_;  // per block; 0 == free
   std::vector<BlockId> free_;        // LIFO
 };
@@ -240,18 +248,18 @@ class BlockAllocator {
 class PagedKVPool;
 
 /// One serving slot's paged KV state: the block table shared by every
-/// layer, per-layer fill cursors and the shared-prefix bookkeeping. The
-/// decode tick's per-slot attention step appends, gathers and rolls back
-/// through it, one layer index at a time.
+/// layer, the committed row count and the shared-prefix bookkeeping. A
+/// decode position takes three steps: prepare_append() (serial: the only
+/// code that allocates, CoW-splits or invalidates the trie), append(l, …)
+/// once per layer (pure row writes, safe from the parallel decode
+/// section) and commit(). Nothing appended is visible — to tokens(), to a
+/// registration flush or to the next position — until commit(), so a
+/// position abandoned by a fault needs no undo: it is rewritten by the
+/// next attempt or dropped with the slot.
 class PagedKVSlot {
  public:
-  [[nodiscard]] std::size_t used(std::size_t layer) const {
-    return used_.at(layer);
-  }
-  /// Logical context length (layer cursors agree between ticks).
-  [[nodiscard]] std::size_t tokens() const noexcept {
-    return used_.empty() ? 0 : used_[0];
-  }
+  /// Committed context length.
+  [[nodiscard]] std::size_t tokens() const noexcept { return rows_; }
   [[nodiscard]] const std::vector<BlockId>& table() const noexcept {
     return table_;
   }
@@ -259,43 +267,42 @@ class PagedKVSlot {
   [[nodiscard]] std::size_t shared_rows() const noexcept {
     return shared_rows_;
   }
-  [[nodiscard]] bool in_use() const noexcept { return in_use_; }
 
-  /// Serial pre-decode phase: make the row at the current cursor
-  /// writable — allocate the block the next append lands in, CoW-split
-  /// it first if other tables alias it. Returns false on block
-  /// exhaustion (the caller retires the request kv_cache_full BEFORE the
-  /// tick, deterministically). Never called concurrently; the parallel
-  /// appends that follow are pure row writes.
+  /// Serial pre-decode phase: make row tokens() writable — allocate the
+  /// block it lands in, CoW-split that block first if other tables alias
+  /// it, and erase trie advertisements its rewrite would falsify. Returns
+  /// false when the slot is full or the block pool is exhausted (the
+  /// caller retires the request kv_cache_full BEFORE the tick,
+  /// deterministically). Idempotent until commit(). Never called
+  /// concurrently; the parallel appends that follow are pure row writes.
   [[nodiscard]] bool prepare_append();
 
-  /// Appends one K row and one V row to `layer`. std::length_error when
-  /// the logical capacity OR the block pool is exhausted (both are the
-  /// typed kv_cache_full stop), std::invalid_argument on a width mismatch,
-  /// checks before writes. Rows inside the slot's shared prefix advance
-  /// the cursor without writing (the resident shared block already holds
-  /// bit-identical content, and may be aliased by other tables).
+  /// Writes row tokens() of `layer` (one K row, one V row) without moving
+  /// any cursor; a second append before commit() overwrites it.
+  /// std::length_error when the slot is full, std::logic_error when the
+  /// row was not prepared, std::invalid_argument on a width mismatch —
+  /// checks before writes. A row inside the slot's shared prefix is not
+  /// written: the resident shared block already holds bit-identical
+  /// content, and other tables may alias it.
   void append(std::size_t layer, std::span<const float> k_row,
               std::span<const float> v_row);
 
-  /// Contiguous copies of `layer`'s filled prefix, gathered through the
-  /// block table — bit-identical to the rows appended, in order (the
+  /// Makes the prepared row part of the context: tokens() grows by one,
+  /// and a row that completes a prompt block queues that block's trie
+  /// registration for the next flush. std::logic_error when no row is
+  /// prepared.
+  void commit();
+
+  /// Contiguous copies of `layer`'s first `rows` rows, gathered through
+  /// the block table — bit-identical to the rows appended, in order (the
   /// oracle property tests/test_paged_kv.cpp pins across block sizes).
-  [[nodiscard]] tensor::MatrixF k_prefix(std::size_t layer) const;
-  [[nodiscard]] tensor::MatrixF v_prefix(std::size_t layer) const;
-
-  /// Cursor-only rollback of `layer` to `n` rows (no block is freed): safe
-  /// from the parallel per-slot decode section, where freeing would race
-  /// the allocator. Block reclamation happens at slot release or rollback.
-  void truncate(std::size_t layer, std::size_t n) noexcept;
-
-  /// Serial rollback: truncate every layer to `n` rows AND return the blocks
-  /// past the new frontier to the allocator (truncate plus storage given back).
-  /// Keeps ceil(n / block_tokens) blocks (never trimming below the seeded
-  /// shared prefix), so a rollback landing exactly ON a block boundary frees
-  /// the boundary block — the partial-block release case
-  /// tests/test_paged_kv.cpp pins.
-  void rollback(std::size_t n);
+  /// `rows` may reach the prepared row: rows ≤ tokens() + 1 once
+  /// prepare_append() succeeded, rows ≤ tokens() otherwise
+  /// (std::out_of_range beyond).
+  [[nodiscard]] tensor::MatrixF k_prefix(std::size_t layer,
+                                         std::size_t rows) const;
+  [[nodiscard]] tensor::MatrixF v_prefix(std::size_t layer,
+                                         std::size_t rows) const;
 
  private:
   friend class PagedKVPool;
@@ -303,20 +310,20 @@ class PagedKVSlot {
   /// CoW-split table_[bi], preserving its first `rows` rows. False on
   /// block exhaustion.
   [[nodiscard]] bool cow_block(std::size_t bi, std::size_t rows);
-  void register_completed_prefix(std::size_t rows_done);
+  /// `rows` if the block table holds that many readable rows, else throws.
+  [[nodiscard]] std::size_t checked_rows(std::size_t rows) const;
 
   PagedKVPool* pool_ = nullptr;
   std::vector<BlockId> table_;
-  std::vector<std::size_t> used_;  // per-layer cursor
+  std::size_t rows_ = 0;     // committed context length
+  bool prepared_ = false;    // row rows_ is writable
   std::size_t shared_rows_ = 0;
-  std::size_t seeded_blocks_ = 0;  // rollback floor: shared blocks stay
   std::uint64_t group_ = kNoPrefixGroup;
   std::vector<std::int32_t> prompt_;  // retained for trie registration
-  // Prompt blocks completed this tick, to advertise in the trie. Trie
-  // writes are deferred to the serial flush (pool.flush_registrations)
-  // because appends run in parallel chunks.
+  // Prompt blocks completed by a commit, to advertise in the trie. Trie
+  // writes wait for the serial flush (pool.flush_registrations) so they
+  // never race an admission's lookup.
   std::vector<std::pair<std::size_t, BlockId>> pending_;  // (prefix_len, blk)
-  bool in_use_ = false;
 };
 
 /// The one KV store: per-slot acquire/release, the
@@ -375,8 +382,8 @@ class PagedKVPool {
   /// longest registered prefix (capped at prompt.size() - 1 — the last
   /// prompt position always decodes locally, its hidden state feeds
   /// select()) is aliased into the slot's table with refcounts bumped,
-  /// and those rows' later appends advance past resident content instead
-  /// of rewriting it. The prompt is retained so the slot can advertise
+  /// and those rows' later appends skip the write instead of rewriting
+  /// resident content. The prompt is retained so the slot can advertise
   /// its own completed blocks.
   [[nodiscard]] std::size_t acquire(std::uint64_t group,
                                     std::span<const std::int32_t> prompt);

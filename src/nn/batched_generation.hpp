@@ -18,15 +18,16 @@
 // BIT-IDENTICAL to N independent nn::generate runs — batching buys
 // throughput, never different answers.
 //
-// Fault semantics — a tick is atomic per slot: every slot's KV cursors
-// are rolled back to their pre-tick length before a fault can leave a
-// partial step behind.
-//   - a fault in a slot-attributed kernel (that slot's attention) rolls
-//     back and retires only the owning slot; the other slots' tick
-//     completes unaffected;
-//   - a fault in a shared batched kernel rolls every slot back to its
-//     pre-tick context and the tick degrades to per-slot stepping
-//     (recorded via Device::note_fallback), where any persistent fault is
+// Fault semantics — a tick is atomic per slot: a slot's KV position is
+// prepared before the step, appended during it and committed only after
+// the whole step succeeded (core::PagedKVSlot::commit), so a fault never
+// leaves a partial step visible and nothing is ever rolled back.
+//   - a fault in a slot-attributed kernel (that slot's attention) retires
+//     only the owning slot, uncommitted; the other slots' tick completes
+//     unaffected;
+//   - a fault in a shared batched kernel commits nothing and the tick
+//     degrades to per-slot stepping (recorded via Device::note_fallback),
+//     which rewrites the same positions and where any persistent fault is
 //     attributable again;
 //   - a tick with ONE active slot takes the per-slot path directly, so a
 //     fault there retires that slot kernel_fault and is not retried —
@@ -69,10 +70,10 @@ class BatchedGenerationScheduler {
   /// pre-computed W_VO and condensed row-pruned layouts still cache only
   /// what they need. The default PagedKVOptions sizes the pool so no
   /// slot can run out of blocks before max_context; a smaller
-  /// num_blocks makes block exhaustion a typed kv_cache_full stop, and
-  /// kv.enable_prefix_sharing lets same-group requests with a common
-  /// prompt prefix alias blocks copy-on-write (memory only — transcripts
-  /// and metrics are bit-identical either way).
+  /// num_blocks makes block exhaustion a typed kv_cache_full stop.
+  /// Requests that carry the same prefix_group and a common prompt prefix
+  /// alias blocks copy-on-write (memory only — transcripts and metrics
+  /// are bit-identical to the same requests with kNoPrefixGroup).
   /// Throws std::invalid_argument on a zero batch size (model validity
   /// is the Model's own job).
   BatchedGenerationScheduler(const Model& model, std::size_t max_batch,

@@ -215,11 +215,12 @@ struct ServerConfig {
   /// Fast-reject requests whose queue budget the current backlog already
   /// makes unmeetable (RejectReason::kShed).
   bool enable_shedding = true;
-  /// Paged KV pool shape (block size, physical block count, prefix
-  /// sharing) handed straight to the scheduler — see core::PagedKVOptions
-  /// and docs/serving.md "Paged KV and prefix sharing". Sharing changes
-  /// kv_bytes_used only; transcripts and every other metric are
-  /// bit-identical with it on or off.
+  /// Paged KV pool shape (block size, physical block count, storage
+  /// precision) handed straight to the scheduler — see
+  /// core::PagedKVOptions and docs/serving.md "Paged KV and prefix
+  /// sharing". Prefix sharing is per request (Request::prefix_group); it
+  /// changes the kv gauges only, and transcripts and every other metric
+  /// are bit-identical to the same requests with kNoPrefixGroup.
   core::PagedKVOptions kv;
 };
 

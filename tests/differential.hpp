@@ -128,6 +128,13 @@ struct Request {
   std::uint64_t prefix_group = core::kNoPrefixGroup;
 };
 
+/// The same requests opted out of prefix sharing: each carries
+/// kNoPrefixGroup — the sharing-off arm of an on/off differential.
+inline std::vector<Request> without_prefix_groups(std::vector<Request> reqs) {
+  for (Request& r : reqs) r.prefix_group = core::kNoPrefixGroup;
+  return reqs;
+}
+
 /// A request's transcript: the API-visible result plus the hidden-state
 /// bit-hash stream select() observed.
 struct Outcome {
@@ -239,6 +246,14 @@ struct Arrival {
   std::size_t retry_budget = 0;    ///< kernel-fault retries allowed
   std::size_t retry_backoff = 0;   ///< ticks between fault and re-admission
 };
+
+/// The same arrivals opted out of prefix sharing (see the Request
+/// overload).
+inline std::vector<Arrival> without_prefix_groups(
+    std::vector<Arrival> arrivals) {
+  for (Arrival& a : arrivals) a.request.prefix_group = core::kNoPrefixGroup;
+  return arrivals;
+}
 
 struct ServedRun {
   std::vector<Outcome> outcomes;  // indexed by arrival order

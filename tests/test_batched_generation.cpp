@@ -199,8 +199,8 @@ TEST(BatchedGeneration, BackfillAdmitsQueuedRequestsAsSlotsRetire) {
 // Faults mid-batch (satellite of docs/robustness.md's truncate-on-fault).
 // ---------------------------------------------------------------------------
 TEST(BatchedGenerationFaults, SharedKernelFaultFallsBackPerSlotBitIdentically) {
-  // One fault in the shared batched q/k/v GEMM: the tick rolls every slot
-  // back and degrades to per-slot stepping. No slot retires, nothing
+  // One fault in the shared batched q/k/v GEMM: the tick commits no slot's
+  // position and degrades to per-slot stepping. No slot retires, nothing
   // diverges — the fallback only costs time.
   const std::size_t max_context = 8;
   const Model m = make_model(2, 32, 2, max_context, 17, false);

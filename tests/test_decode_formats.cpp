@@ -254,15 +254,21 @@ TEST(DecodeFormats, KvCacheStoresIndependentPlaneWidths) {
   EXPECT_EQ(pool.allocator().v_width(0), 8u);
 
   const std::vector<float> k(32, 1.0f), v(8, 2.0f), wide(32, 3.0f);
-  cache.append(0, k, v);
-  EXPECT_EQ(cache.used(0), 1u);
+  const auto push = [&] {
+    ASSERT_TRUE(cache.prepare_append());
+    cache.append(0, k, v);
+    cache.commit();
+  };
+  push();
+  EXPECT_EQ(cache.tokens(), 1u);
   EXPECT_EQ(pool.used_bytes(), pool.allocator().bytes_per_block());
   // A full-width V row does not fit a condensed plane; the failed
   // append must leave both planes untouched.
+  ASSERT_TRUE(cache.prepare_append());
   EXPECT_THROW(cache.append(0, k, wide), std::invalid_argument);
-  EXPECT_EQ(cache.used(0), 1u);
-  EXPECT_EQ(cache.v_prefix(0)(0, 0), 2.0f);
-  while (cache.used(0) != pool.max_context()) cache.append(0, k, v);
+  EXPECT_EQ(cache.tokens(), 1u);
+  EXPECT_EQ(cache.v_prefix(0, 1)(0, 0), 2.0f);
+  while (cache.tokens() != pool.max_context()) push();
   EXPECT_THROW(cache.append(0, k, v), std::length_error);
   EXPECT_EQ(pool.used_bytes(), pool.memory_bytes());
   pool.release(s);

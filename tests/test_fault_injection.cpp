@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "core/adaptive.hpp"
 #include "core/block_allocator.hpp"
@@ -449,10 +450,10 @@ TEST(Generate, KernelFaultMidGenerationKeepsEarlierTokens) {
 TEST(GenerationSession, StepIsAtomicUnderFaults) {
   // A step is atomic per slot: a shared-kernel fault partway through
   // layer 1 of a two-slot tick — after layer 0 AND layer 1 have appended
-  // their K/V rows — rolls every slot back to its pre-tick length, and
-  // the tick's per-slot retry then reproduces the clean run bit for bit.
-  // A missing rollback would leave a duplicate row in the caches and
-  // change every later hidden state.
+  // their K/V rows — commits no slot's position, and the tick's per-slot
+  // retry rewrites the same rows and reproduces the clean run bit for bit.
+  // A position committed by the failed attempt would leave a duplicate
+  // row in the caches and change every later hidden state.
   TinyStack s;
   const et::nn::Model model(&s.layers, s.opt, 8);
   const auto run = [&](et::gpusim::Device& dev,
@@ -502,16 +503,26 @@ TEST(GenerationSession, StepIsAtomicUnderFaults) {
 }
 
 TEST(KVCache, TruncateRollsBackAppends) {
+  // A faulted position is rolled back by never committing it: its
+  // appends are discarded, and the retried position overwrites them.
   et::core::PagedKVPool pool(1, 4, 2, {2},
                              et::core::PagedKVOptions{.block_tokens = 2});
   et::core::PagedKVSlot& cache = pool.slot(pool.acquire());
   const float r[] = {1, 2};
+  const float junk[] = {9, 9};
+  ASSERT_TRUE(cache.prepare_append());
   cache.append(0, r, r);
+  cache.commit();
+  ASSERT_TRUE(cache.prepare_append());
+  cache.append(0, junk, junk);  // abandoned: never committed
+  EXPECT_EQ(cache.tokens(), 1u);
+  EXPECT_THROW((void)cache.k_prefix(0, 3), std::out_of_range);
+  ASSERT_TRUE(cache.prepare_append());  // the retry
   cache.append(0, r, r);
-  cache.truncate(0, 1);
-  EXPECT_EQ(cache.used(0), 1u);
-  cache.truncate(0, 3);  // beyond used: no-op
-  EXPECT_EQ(cache.used(0), 1u);
+  cache.commit();
+  EXPECT_EQ(cache.tokens(), 2u);
+  EXPECT_EQ(cache.k_prefix(0, 2)(1, 0), 1.0f);
+  EXPECT_EQ(cache.v_prefix(0, 2)(1, 1), 2.0f);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <string_view>
 
 #include "core/block_allocator.hpp"
@@ -73,34 +74,43 @@ struct OneCache {
       : pool(1, capacity, k_width, {v_width},
              PagedKVOptions{.block_tokens = 2}),
         cache(pool.slot(pool.acquire())) {}
+  /// One committed position: prepare, append, commit.
+  void push(std::span<const float> k, std::span<const float> v) {
+    ASSERT_TRUE(cache.prepare_append());
+    cache.append(0, k, v);
+    cache.commit();
+  }
 };
 
 TEST(KVCache, AppendAndPrefix) {
   OneCache one(4, 3, 3);
   auto& cache = one.cache;
-  EXPECT_EQ(cache.used(0), 0u);
+  EXPECT_EQ(cache.tokens(), 0u);
   const float k1[] = {1, 2, 3};
   const float v1[] = {4, 5, 6};
-  cache.append(0, k1, v1);
-  cache.append(0, v1, k1);
-  cache.append(0, k1, v1);  // third row lands in the second block
-  EXPECT_EQ(cache.used(0), 3u);
-  const auto k = cache.k_prefix(0);
+  one.push(k1, v1);
+  one.push(v1, k1);
+  one.push(k1, v1);  // third row lands in the second block
+  EXPECT_EQ(cache.tokens(), 3u);
+  const auto k = cache.k_prefix(0, 3);
   EXPECT_EQ(k.rows(), 3u);
   EXPECT_EQ(k(0, 2), 3.0f);
   EXPECT_EQ(k(1, 0), 4.0f);
   EXPECT_EQ(k(2, 1), 2.0f);
-  EXPECT_EQ(cache.v_prefix(0)(1, 2), 3.0f);
-  cache.truncate(0, 0);
-  EXPECT_EQ(cache.used(0), 0u);
+  EXPECT_EQ(cache.v_prefix(0, 3)(1, 2), 3.0f);
+  // An appended but uncommitted row is not part of the context.
+  ASSERT_TRUE(cache.prepare_append());
+  cache.append(0, v1, v1);
+  EXPECT_EQ(cache.tokens(), 3u);
 }
 
 TEST(KVCache, ThrowsWhenFull) {
   OneCache one(1, 2, 2);
   auto& cache = one.cache;
   const float r[] = {1, 2};
-  cache.append(0, r, r);
-  EXPECT_EQ(cache.used(0), one.pool.max_context());
+  one.push(r, r);
+  EXPECT_EQ(cache.tokens(), one.pool.max_context());
+  EXPECT_FALSE(cache.prepare_append());
   EXPECT_THROW(cache.append(0, r, r), std::length_error);
 }
 
@@ -112,25 +122,28 @@ TEST(KVCache, RejectedAppendLeavesBothPlanesUntouched) {
   const float k1[] = {1, 2, 3};
   const float v1[] = {4, 5, 6};
   const float narrow[] = {7, 8};
-  cache.append(0, k1, v1);
+  one.push(k1, v1);
 
+  ASSERT_TRUE(cache.prepare_append());
   EXPECT_THROW(cache.append(0, narrow, v1), std::invalid_argument);
   EXPECT_THROW(cache.append(0, k1, narrow), std::invalid_argument);
-  EXPECT_EQ(cache.used(0), 1u);
-  const auto k = cache.k_prefix(0);
-  const auto v = cache.v_prefix(0);
-  ASSERT_EQ(k.rows(), 1u);
+  EXPECT_EQ(cache.tokens(), 1u);
+  const auto k = cache.k_prefix(0, 2);  // row 1: the prepared row
+  const auto v = cache.v_prefix(0, 2);
   for (std::size_t c = 0; c < 3; ++c) {
     EXPECT_EQ(k(0, c), k1[c]);
     EXPECT_EQ(v(0, c), v1[c]);
+    EXPECT_EQ(k(1, c), 0.0f) << "a rejected append half-wrote its row";
+    EXPECT_EQ(v(1, c), 0.0f) << "a rejected append half-wrote its row";
   }
 
   // The capacity check fires before the width check touches anything.
   cache.append(0, v1, k1);
+  cache.commit();
   EXPECT_THROW(cache.append(0, k1, narrow), std::length_error);
-  EXPECT_EQ(cache.used(0), 2u);
-  EXPECT_EQ(cache.k_prefix(0)(1, 0), 4.0f);
-  EXPECT_EQ(cache.v_prefix(0)(1, 0), 1.0f);
+  EXPECT_EQ(cache.tokens(), 2u);
+  EXPECT_EQ(cache.k_prefix(0, 2)(1, 0), 4.0f);
+  EXPECT_EQ(cache.v_prefix(0, 2)(1, 0), 1.0f);
 }
 
 TEST(KVCachePool, RecyclesSlotsAndValidatesRelease) {
@@ -148,7 +161,9 @@ TEST(KVCachePool, RecyclesSlotsAndValidatesRelease) {
   ASSERT_EQ(pool.allocator().num_layers(), 3u);
 
   const float r[] = {1, 2, 3};
-  pool.slot(a).append(0, r, r);
+  ASSERT_TRUE(pool.slot(a).prepare_append());
+  for (std::size_t l = 0; l < 3; ++l) pool.slot(a).append(l, r, r);
+  pool.slot(a).commit();
   pool.release(a);
   EXPECT_THROW(pool.release(a), std::invalid_argument);
   EXPECT_THROW(pool.release(99), std::invalid_argument);
@@ -157,7 +172,7 @@ TEST(KVCachePool, RecyclesSlotsAndValidatesRelease) {
   // between sequences.
   const std::size_t again = pool.acquire();
   EXPECT_EQ(again, a);
-  EXPECT_EQ(pool.slot(again).used(0), 0u);
+  EXPECT_EQ(pool.slot(again).tokens(), 0u);
   EXPECT_TRUE(pool.slot(again).table().empty());
 }
 

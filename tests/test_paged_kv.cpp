@@ -6,7 +6,7 @@
 //      determinism, first-wins registration, stale-advertisement
 //      invalidation;
 //   2. a seeded randomized property/fuzz sweep over interleaved
-//      acquire / append / share / CoW-split / rollback / release
+//      acquire / append / share / CoW-split / abandon / release
 //      sequences, asserting the block-level invariants after EVERY op:
 //      refcount conservation (refs == table references), two-table ⇒
 //      refcount ≥ 2, free-list ∩ live = ∅, byte accounting == Σ resident
@@ -188,7 +188,8 @@ TEST(PrefixTrie, InvalidateErasesStaleAdvertisementsAndSubtrees) {
 }
 
 // ---------------------------------------------------------------------------
-// PagedKVPool slot mechanics: append contract, sharing, CoW, rollback.
+// PagedKVPool slot mechanics: append contract, sharing, CoW, uncommitted
+// positions.
 // ---------------------------------------------------------------------------
 
 /// Deterministic row content, shared by writers and the shadow oracle.
@@ -212,20 +213,26 @@ std::uint64_t gen_key(std::uint64_t uid, std::size_t pos) {
   return splitmix64(uid ^ (pos << 4) ^ 0x777ull);
 }
 
-/// Append one logical position across every layer of `slot`, mirroring
-/// the scheduler's serial-prepare + append protocol. Returns false on
-/// block exhaustion (the slot was left untouched).
-bool append_position(PagedKVPool& pool, std::size_t s, std::uint64_t key) {
-  PagedKVSlot& slot = pool.slot(s);
-  if (!slot.prepare_append()) return false;
+/// Write one logical position's rows (keyed by `key`) to every layer of
+/// the slot's prepared row, without committing it.
+void write_position(PagedKVPool& pool, std::size_t s, std::uint64_t key) {
   const BlockAllocator& alloc = pool.allocator();
   std::vector<float> k(alloc.k_width());
   for (std::size_t l = 0; l < alloc.num_layers(); ++l) {
     std::vector<float> v(alloc.v_width(l));
     fill_row(k, key, 1000 + l);
     fill_row(v, key, 2000 + l);
-    slot.append(l, k, v);
+    pool.slot(s).append(l, k, v);
   }
+}
+
+/// Append one logical position across every layer of `slot`, mirroring
+/// the scheduler's serial-prepare + append + commit protocol. Returns
+/// false on block exhaustion (nothing was written or committed).
+bool append_position(PagedKVPool& pool, std::size_t s, std::uint64_t key) {
+  if (!pool.slot(s).prepare_append()) return false;
+  write_position(pool, s, key);
+  pool.slot(s).commit();
   return true;
 }
 
@@ -234,11 +241,18 @@ TEST(PagedKVPool, AppendContractMatchesContiguousCache) {
   const std::size_t s = pool.acquire();
   PagedKVSlot& cache = pool.slot(s);
   std::vector<float> k(kKWidth, 1.0f), v(4, 2.0f), bad(3, 0.0f);
+  ASSERT_TRUE(cache.prepare_append());
   EXPECT_THROW(cache.append(0, k, bad), std::invalid_argument);
-  for (int i = 0; i < 4; ++i) cache.append(0, k, v);
-  EXPECT_EQ(cache.used(0), pool.max_context());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(cache.prepare_append());
+    cache.append(0, k, v);
+    cache.commit();
+  }
+  EXPECT_EQ(cache.tokens(), pool.max_context());
+  EXPECT_FALSE(cache.prepare_append());
   EXPECT_THROW(cache.append(0, k, v), std::length_error);
-  EXPECT_EQ(cache.used(0), 4u);  // checks precede writes and cursor moves
+  EXPECT_THROW(cache.commit(), std::logic_error);
+  EXPECT_EQ(cache.tokens(), 4u);  // checks precede writes and commits
   pool.release(s);
   EXPECT_EQ(pool.used_bytes(), 0u);
   EXPECT_THROW(pool.release(s), std::invalid_argument);
@@ -250,8 +264,7 @@ TEST(PagedKVPool, ContiguousModeMatchesKVCachePoolFootprintAndDisablesSharing) {
   // whole-context blocks can never share a proper prefix.
   const std::vector<std::size_t> vw{16, 4, 8};
   PagedKVPool paged(3, 8, kKWidth, vw,
-                    PagedKVOptions{.block_tokens = 8,
-                                   .enable_prefix_sharing = true});
+                    PagedKVOptions{.block_tokens = 8});
   EXPECT_EQ(paged.allocator().num_blocks(), 3u);
   EXPECT_FALSE(paged.sharing_enabled());
   std::size_t row_bytes = 0;
@@ -287,7 +300,7 @@ TEST(PagedKVPool, PrefixSharingAliasesBlocksAndCountsBytesOnce) {
     EXPECT_GE(pool.allocator().ref_count(blk), 2u);
   }
 
-  // Decode b through the shared region: appends skip the write (cursor
+  // Decode b through the shared region: appends skip the write (commit
   // only) until position 7, whose block is aliased — CoW splits it.
   for (std::size_t p = 0; p < prompt.size(); ++p) {
     ASSERT_TRUE(append_position(pool, b, prompt_key(9, prompt, p)));
@@ -299,7 +312,7 @@ TEST(PagedKVPool, PrefixSharingAliasesBlocksAndCountsBytesOnce) {
   // Both gathers must see the full, correct prompt — bit-exact.
   for (const std::size_t s : {a, b}) {
     for (std::size_t l = 0; l < 2; ++l) {
-      const auto kp = pool.slot(s).k_prefix(l);
+      const auto kp = pool.slot(s).k_prefix(l, prompt.size());
       ASSERT_EQ(kp.rows(), prompt.size());
       for (std::size_t p = 0; p < prompt.size(); ++p) {
         std::vector<float> want(kKWidth);
@@ -320,68 +333,74 @@ TEST(PagedKVPool, PrefixSharingAliasesBlocksAndCountsBytesOnce) {
   EXPECT_EQ(pool.trie().size(), 0u);  // non-owning: freed ⇒ un-advertised
 }
 
-TEST(PagedKVPool, RollbackAtBlockBoundaryReleasesThePartialBlock) {
-  PagedKVPool pool(1, 12, kKWidth, {4},
-                   PagedKVOptions{.block_tokens = 4});
-  const std::size_t s = pool.acquire();
-  for (std::size_t p = 0; p < 6; ++p) {
-    ASSERT_TRUE(append_position(pool, s, gen_key(1, p)));
+TEST(PagedKVPool, UncommittedPositionLeavesNoTrace) {
+  // Position 2 completes the first prompt block (block_tokens = 3). It is
+  // prepared and written on every layer with junk, then abandoned — the
+  // decode tick's faulted position. No cursor, trie entry or gather may
+  // see it, and the retried position must land bit-exact.
+  PagedKVPool pool(2, 12, kKWidth, {4, 6},
+                   PagedKVOptions{.block_tokens = 3});
+  const std::vector<std::int32_t> prompt{1, 2, 3, 4, 5};
+  const std::size_t s = pool.acquire(4, prompt);
+  for (std::size_t p = 0; p < 2; ++p) {
+    ASSERT_TRUE(append_position(pool, s, prompt_key(4, prompt, p)));
   }
-  ASSERT_EQ(pool.slot(s).table().size(), 2u);
-  const std::size_t per_block = pool.allocator().bytes_per_block();
+  ASSERT_TRUE(pool.slot(s).prepare_append());
+  write_position(pool, s, gen_key(99, 2));  // junk, never committed
+  EXPECT_EQ(pool.slot(s).tokens(), 2u);
+  pool.flush_registrations();
+  EXPECT_EQ(pool.trie().size(), 0u) << "an uncommitted block was advertised";
+  const std::size_t other = pool.acquire(4, prompt);
+  EXPECT_EQ(pool.slot(other).shared_rows(), 0u);
+  pool.release(other);
 
-  // Mid-block rollback keeps ceil(5/4) = 2 blocks.
-  pool.slot(s).rollback(5);
-  EXPECT_EQ(pool.slot(s).table().size(), 2u);
-  // EXACTLY on the boundary: rows [0,4) need one block — the regression
-  // this suite pins is keeping (and leaking) the boundary block here.
-  pool.slot(s).rollback(4);
+  // The retry (prepare is idempotent) overwrites the junk; committing it
+  // advertises the completed block.
+  ASSERT_TRUE(append_position(pool, s, prompt_key(4, prompt, 2)));
+  EXPECT_EQ(pool.slot(s).tokens(), 3u);
   EXPECT_EQ(pool.slot(s).table().size(), 1u);
-  EXPECT_EQ(pool.used_bytes(), per_block);
-  EXPECT_EQ(pool.slot(s).tokens(), 4u);
-
-  // Refill after the rollback: content lands in a fresh block and the
-  // gather reflects the new frontier.
-  ASSERT_TRUE(append_position(pool, s, gen_key(2, 4)));
-  EXPECT_EQ(pool.slot(s).table().size(), 2u);
-  const auto kp = pool.slot(s).k_prefix(0);
-  std::vector<float> want(kKWidth);
-  fill_row(want, gen_key(2, 4), 1000);
-  for (std::size_t c = 0; c < kKWidth; ++c) EXPECT_EQ(kp(4, c), want[c]);
-
-  pool.slot(s).rollback(0);
-  EXPECT_EQ(pool.used_bytes(), 0u);
+  pool.flush_registrations();
+  EXPECT_EQ(pool.trie().size(), 1u);
+  for (std::size_t l = 0; l < 2; ++l) {
+    const auto kp = pool.slot(s).k_prefix(l, 3);
+    const auto vp = pool.slot(s).v_prefix(l, 3);
+    for (std::size_t p = 0; p < 3; ++p) {
+      std::vector<float> wk(kKWidth), wv(pool.allocator().v_width(l));
+      fill_row(wk, prompt_key(4, prompt, p), 1000 + l);
+      fill_row(wv, prompt_key(4, prompt, p), 2000 + l);
+      for (std::size_t c = 0; c < wk.size(); ++c) ASSERT_EQ(kp(p, c), wk[c]);
+      for (std::size_t c = 0; c < wv.size(); ++c) ASSERT_EQ(vp(p, c), wv[c]);
+    }
+  }
   pool.release(s);
+  EXPECT_EQ(pool.used_bytes(), 0u);
 }
 
-TEST(PagedKVPool, RollbackNeverTrimsSeededSharedBlocks) {
-  PagedKVPool pool(2, 8, kKWidth, {4}, PagedKVOptions{.block_tokens = 2});
-  std::vector<std::int32_t> prompt{1, 2, 3, 4, 5, 6};
-  const std::size_t a = pool.acquire(3, prompt);
-  for (std::size_t p = 0; p < prompt.size(); ++p) {
-    ASSERT_TRUE(append_position(pool, a, prompt_key(3, prompt, p)));
-  }
-  pool.flush_registrations();
-  const std::size_t b = pool.acquire(3, prompt);
-  ASSERT_EQ(pool.slot(b).shared_rows(), 5u);
-  ASSERT_EQ(pool.slot(b).table().size(), 3u);
-  // A rollback to zero (fault storm during prefill) must keep the seeded
-  // blocks: later skip-appends rely on their resident rows.
-  pool.slot(b).rollback(0);
-  EXPECT_EQ(pool.slot(b).table().size(), 3u);
-  EXPECT_EQ(pool.slot(b).tokens(), 0u);
-  for (std::size_t p = 0; p < prompt.size(); ++p) {
-    ASSERT_TRUE(append_position(pool, b, prompt_key(3, prompt, p)));
-  }
-  const auto kp = pool.slot(b).k_prefix(0);
-  for (std::size_t p = 0; p < prompt.size(); ++p) {
-    std::vector<float> want(kKWidth);
-    fill_row(want, prompt_key(3, prompt, p), 1000);
-    for (std::size_t c = 0; c < kKWidth; ++c) ASSERT_EQ(kp(p, c), want[c]);
-  }
-  pool.release(a);
-  pool.release(b);
+TEST(PagedKVPool, AppendRequiresPreparedRow) {
+  PagedKVPool pool(1, 4, kKWidth, {4}, PagedKVOptions{.block_tokens = 2});
+  const std::size_t s = pool.acquire();
+  PagedKVSlot& slot = pool.slot(s);
+  const std::vector<float> k(kKWidth, 1.0f), v(4, 2.0f);
+  EXPECT_THROW(slot.append(0, k, v), std::logic_error);
+  EXPECT_THROW(slot.commit(), std::logic_error);
+  EXPECT_TRUE(slot.table().empty()) << "append allocated a block";
   EXPECT_EQ(pool.used_bytes(), 0u);
+  EXPECT_EQ(slot.tokens(), 0u);
+
+  // After a committed position, the next row is unprepared again — even
+  // though it lands in a block the table already holds.
+  ASSERT_TRUE(append_position(pool, s, gen_key(1, 0)));
+  EXPECT_THROW(slot.append(0, v, v), std::logic_error);
+  EXPECT_THROW(slot.commit(), std::logic_error);
+  EXPECT_EQ(slot.tokens(), 1u);
+  const auto kp = slot.k_prefix(0, 1);
+  std::vector<float> want(kKWidth);
+  fill_row(want, gen_key(1, 0), 1000);
+  for (std::size_t c = 0; c < kKWidth; ++c) EXPECT_EQ(kp(0, c), want[c]);
+  ASSERT_TRUE(slot.prepare_append());
+  const auto pending = slot.k_prefix(0, 2);  // the prepared row: untouched
+  for (std::size_t c = 0; c < kKWidth; ++c) EXPECT_EQ(pending(1, c), 0.0f);
+  pool.release(s);
 }
 
 // ---------------------------------------------------------------------------
@@ -412,10 +431,11 @@ TEST(PagedGatherOracle, PrefixGathersMatchContiguousAcrossBlockSizes) {
         slot.append(l, k, v);
         reference[l].emplace_back(k, v);
       }
+      slot.commit();
     }
     for (std::size_t l = 0; l < vw.size(); ++l) {
-      const auto pk = pool.slot(s).k_prefix(l);
-      const auto pv = pool.slot(s).v_prefix(l);
+      const auto pk = pool.slot(s).k_prefix(l, kCtx);
+      const auto pv = pool.slot(s).v_prefix(l, kCtx);
       ASSERT_EQ(pk.rows(), kCtx);
       ASSERT_EQ(pv.rows(), kCtx);
       ASSERT_EQ(pv.cols(), vw[l]);
@@ -434,7 +454,7 @@ TEST(PagedGatherOracle, PrefixGathersMatchContiguousAcrossBlockSizes) {
 }
 
 // ---------------------------------------------------------------------------
-// Property/fuzz sweep: interleaved acquire/append/share/CoW/rollback/
+// Property/fuzz sweep: interleaved acquire/append/share/CoW/abandon/
 // release with every invariant checked after every op.
 // ---------------------------------------------------------------------------
 
@@ -443,7 +463,7 @@ struct ShadowSlot {
   std::uint64_t group = kNoPrefixGroup;
   std::vector<std::int32_t> prompt;
   std::uint64_t uid = 0;          // salts generated (post-prompt) rows
-  std::size_t rows = 0;           // expected cursor
+  std::size_t rows = 0;           // expected committed rows
 };
 
 class PagedFuzz {
@@ -459,7 +479,7 @@ class PagedFuzz {
       case 1: acquire(); break;  // double weight: keep slots occupied
       case 2: append(); break;
       case 3: append(); break;
-      case 4: rollback(); break;
+      case 4: abandon(); break;
       case 5: release(); break;
     }
     pool_.flush_registrations();  // the scheduler's serial cadence
@@ -514,13 +534,31 @@ class PagedFuzz {
     ++sh.rows;
   }
 
-  void rollback() {
+  /// A faulted decode position: prepare the next row, write junk to a
+  /// random subset of layers and never commit. The shadow is unchanged —
+  /// nothing uncommitted may be visible, in this slot or through a
+  /// block another slot aliases later.
+  void abandon() {
     const std::size_t s = pick_live();
     if (s == kSlots) return;
     ShadowSlot& sh = shadows_[s];
-    const std::size_t n = sh.rows == 0 ? 0 : next() % (sh.rows + 1);
-    pool_.slot(s).rollback(n);
-    sh.rows = n;
+    if (sh.rows >= kCtx) return;
+    PagedKVSlot& slot = pool_.slot(s);
+    if (!slot.prepare_append()) {
+      pool_.release(s);  // exhaustion: retired kv_cache_full, as in append
+      sh.live = false;
+      return;
+    }
+    const BlockAllocator& alloc = pool_.allocator();
+    const std::uint64_t junk = next();
+    std::vector<float> k(alloc.k_width());
+    for (std::size_t l = 0; l < alloc.num_layers(); ++l) {
+      if (next() % 2 == 0) continue;
+      std::vector<float> v(alloc.v_width(l));
+      fill_row(k, junk, 1000 + l);
+      fill_row(v, junk, 2000 + l);
+      slot.append(l, k, v);
+    }
   }
 
   void release() {
@@ -597,8 +635,8 @@ class PagedFuzz {
       if (!sh.live) continue;
       ASSERT_EQ(pool_.slot(s).tokens(), sh.rows);
       for (std::size_t l = 0; l < alloc.num_layers(); ++l) {
-        const auto kp = pool_.slot(s).k_prefix(l);
-        const auto vp = pool_.slot(s).v_prefix(l);
+        const auto kp = pool_.slot(s).k_prefix(l, sh.rows);
+        const auto vp = pool_.slot(s).v_prefix(l, sh.rows);
         for (std::size_t p = 0; p < sh.rows; ++p) {
           // Rows the slot skipped (below its shared frontier) hold the
           // PRODUCER'S bytes — identical to the shadow's prediction by
@@ -731,10 +769,11 @@ TEST(PagedDecodeOracle, SharingOnOffTranscriptsBitIdentical) {
     et::gpusim::Device on_dev, off_dev;
     const auto on = et::diff::run_batched(
         on_dev, layers, opt, 3, kMaxContext, requests, kVocab, threads,
-        PagedKVOptions{.block_tokens = 3, .enable_prefix_sharing = true});
+        PagedKVOptions{.block_tokens = 3});
     const auto off = et::diff::run_batched(
-        off_dev, layers, opt, 3, kMaxContext, requests, kVocab, threads,
-        PagedKVOptions{.block_tokens = 3, .enable_prefix_sharing = false});
+        off_dev, layers, opt, 3, kMaxContext,
+        et::diff::without_prefix_groups(requests), kVocab, threads,
+        PagedKVOptions{.block_tokens = 3});
     et::diff::expect_bit_identical(on.outcomes, off.outcomes);
     // Sharing must not change the tick structure either.
     EXPECT_EQ(on.ticks, off.ticks);
@@ -806,8 +845,8 @@ et::diff::BatchedRun scheduler_run(et::gpusim::Device& dev,
 
 TEST(PagedDecodeOracle, FaultStormsDrainEveryBlockDeterministically) {
   // A fault mid-decode (block_tokens=3, prompt rows cross block
-  // boundaries at 3 and 6) triggers the fault-atomic rollback plus
-  // kernel-fault retirement; afterwards EVERY block — including boundary
+  // boundaries at 3 and 6) abandons the slot's uncommitted position and
+  // retires it kernel_fault; afterwards EVERY block — including boundary
   // partials and CoW copies — must be back on the free list, and the
   // faulted transcript must not depend on the thread count.
   const auto layers = make_layers(903);
@@ -816,7 +855,7 @@ TEST(PagedDecodeOracle, FaultStormsDrainEveryBlockDeterministically) {
   const PagedKVOptions kv{.block_tokens = 3};
   // Arm the slot-attributed incremental attention kernel (a fault on a
   // shared batched kernel is absorbed by the per-slot fallback tick and
-  // retires nobody); `faults` different strikes land at different cursor
+  // retires nobody); `faults` different strikes land at different context
   // positions, including mid-block and at boundaries.
   for (const std::size_t faults : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("faults=" + std::to_string(faults));

@@ -290,8 +290,9 @@ TEST(ServingDifferentialCross, ThreadCountsAgreeOnTranscriptsAndMetrics) {
 
 // ---------------------------------------------------------------------------
 // Sharing differential (docs/serving.md "Paged KV and prefix sharing"):
-// the same scripted storm with prefix sharing ON, OFF, and under the
-// contiguous layout (one block spans max_context) must produce
+// the same scripted storm with prefix sharing ON, OFF (every arrival
+// carries kNoPrefixGroup), and under the contiguous layout (one block
+// spans max_context) must produce
 // bit-identical transcripts, tick counts, and metrics — every scalar
 // except the four sharing-observability gauges. Sharing buys memory,
 // never behavior, including under priority preemption and random-fault
@@ -351,11 +352,10 @@ TEST_P(SharingDifferential, OnOffContiguousAgreeOnEverythingButKvGauges) {
     SCOPED_TRACE(chaos ? "chaos storm" : "calm storm");
     const auto arrivals = shared_prefix_storm(chaos);
 
+    const auto unshared = et::diff::without_prefix_groups(arrivals);
+
     ServerConfig on{2, 16};
     on.kv.block_tokens = 3;
-    on.kv.enable_prefix_sharing = true;
-    ServerConfig off = on;
-    off.kv.enable_prefix_sharing = false;
     ServerConfig contiguous = on;
     contiguous.kv.block_tokens = max_context;  // one block per slot
 
@@ -368,7 +368,7 @@ TEST_P(SharingDifferential, OnOffContiguousAgreeOnEverythingButKvGauges) {
     const auto a = et::diff::run_served(d_on, m.layers, m.opt, max_context,
                                         on, arrivals, kVocab, threads);
     const auto b = et::diff::run_served(d_off, m.layers, m.opt, max_context,
-                                        off, arrivals, kVocab, threads);
+                                        on, unshared, kVocab, threads);
     const auto c = et::diff::run_served(d_contig, m.layers, m.opt,
                                         max_context, contiguous, arrivals,
                                         kVocab, threads);
@@ -409,16 +409,15 @@ TEST(SharingEffectiveness, OverlappingGroupSharesBlocksAndLowersPeakBytes) {
     r.max_new_tokens = 3;
     arrivals.push_back({tick, r});
   }
-  ServerConfig on{3, 8};
-  on.kv.block_tokens = 3;
-  ServerConfig off = on;
-  off.kv.enable_prefix_sharing = false;
+  ServerConfig cfg{3, 8};
+  cfg.kv.block_tokens = 3;
 
   et::gpusim::Device d_on, d_off;
-  const auto a = et::diff::run_served(d_on, m.layers, m.opt, max_context, on,
+  const auto a = et::diff::run_served(d_on, m.layers, m.opt, max_context, cfg,
                                       arrivals, kVocab);
-  const auto b = et::diff::run_served(d_off, m.layers, m.opt, max_context,
-                                      off, arrivals, kVocab);
+  const auto b =
+      et::diff::run_served(d_off, m.layers, m.opt, max_context, cfg,
+                           et::diff::without_prefix_groups(arrivals), kVocab);
   et::diff::expect_bit_identical(a.outcomes, b.outcomes);
 
   EXPECT_GE(scalar_value(a.scalars, "prefix_hits"), 2.0);
